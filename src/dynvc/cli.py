@@ -2,7 +2,9 @@
 and verify solutions against the brute-force oracles.
 
 Exit codes: 0 success, 1 usage or parse error, 2 budget exhausted in ``run``,
-3 verification failure. All randomness flows from the single ``--seed``.
+3 verification failure, 4 one or more runs of a ``sweep`` failed (each
+error is printed to stderr; the CSV is still written). All randomness flows
+from the single ``--seed``.
 """
 
 from __future__ import annotations
@@ -247,7 +249,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _write(args.out, records_to_csv(records))
     if args.trace_out:
         _write(args.trace_out, traces_to_csv(records))
-    return 0
+    failed = [r for r in records if r.error is not None]
+    for r in failed:
+        print(f"run {r.run_index}: error: {r.error}", file=sys.stderr)
+    return 4 if failed else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

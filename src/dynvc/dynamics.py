@@ -94,9 +94,8 @@ def _sample_non_edge(g: Graph, rng: np.random.Generator) -> tuple[int, int] | No
             v = int(rng.integers(1, g.n + 1))
             if u != v and not g.has_edge(u, v):
                 return (min(u, v), max(u, v))
-    candidates = [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1)
-                  if not g.has_edge(u, v)]
-    return candidates[int(rng.integers(len(candidates)))]
+    # dense: uniform over the absent pairs in lexicographic order
+    return g.free_pair(int(rng.integers(free)))
 
 
 def sample_change(g: Graph, rng: np.random.Generator,
@@ -123,19 +122,32 @@ def sample_change(g: Graph, rng: np.random.Generator,
     return RemoveEdge(int(rng.integers(g.m)))
 
 
-def apply_change(g: Graph, sol: np.ndarray, change: Change) -> np.ndarray:
-    """Apply ``change`` to the graph in place and return the compacted solution.
+def apply_change(g: Graph, sol, change: Change):
+    """Apply ``change`` to the graph in place and return the updated solution.
 
-    Additions append a 0 entry; deletions drop the entry and move the last
-    entry into the hole, mirroring :meth:`Graph.remove_edge`.
+    ``sol`` is either a solution array or a search engine that owns ``g``.
+    An array is the reference path: a compacted copy is returned, in which
+    additions append a 0 entry and deletions drop the entry and move the
+    last entry into the hole, mirroring :meth:`Graph.remove_edge`. An engine
+    (``add_edge(u, v)``/``remove_edge(index)``) updates the graph and its own
+    state in O(deg) and is returned itself.
     """
-    if sol.shape[0] != g.m:
+    is_array = isinstance(sol, np.ndarray)
+    if is_array and sol.shape[0] != g.m:
         raise ValueError(f"solution length {sol.shape[0]} != edge count {g.m}")
+    if not is_array and sol.g is not g:
+        raise ValueError("engine does not own the given graph")
     if isinstance(change, AddEdge):
+        if not is_array:
+            sol.add_edge(change.u, change.v)
+            return sol
         g.add_edge(change.u, change.v)
         return np.append(sol, sol.dtype.type(0))
     if not 0 <= change.index < g.m:
         raise GraphError(f"invalid change: no edge at index {change.index}")
+    if not is_array:
+        sol.remove_edge(change.index)
+        return sol
     remap = g.remove_edge(change.index)
     out = sol.copy()
     for old, new in remap.items():

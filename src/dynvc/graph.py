@@ -5,9 +5,14 @@ Edges are dynamic and live in dense slots 0..m-1: a new edge is appended
 at slot m, and removing a slot swaps the last edge into the hole so the
 slot range stays contiguous. Solution vectors indexed by slot can then be
 compacted with the remap returned by :meth:`Graph.remove_edge`.
+
+Every vertex keeps the sorted slots of its incident edges, repaired in
+O(deg) on each mutation, so incidence queries never scan all m slots.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, insort
 
 import numpy as np
 
@@ -55,6 +60,10 @@ class Graph:
         self._us: list[int] = []
         self._vs: list[int] = []
         self._slot: dict[tuple[int, int], int] = {}
+        self._inc: list[list[int]] = [[] for _ in range(n + 1)]
+        # edges whose smaller endpoint is v: the taken pairs of row v in the
+        # lexicographic pair order that free_pair walks
+        self._upper: list[int] = [0] * (n + 1)
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -102,18 +111,50 @@ class Graph:
                             np.array(self._vs, dtype=np.int32))
         return self._arrays
 
+    def endpoint_lists(self) -> tuple[list[int], list[int]]:
+        """Live endpoint lists (us, vs) in slot order, with us[i] < vs[i].
+
+        The lists are updated in place by every mutation; callers must not
+        modify them.
+        """
+        return self._us, self._vs
+
     def incident_edges(self, v: int) -> list[int]:
-        """Slots of all edges containing v."""
+        """Slots of all edges containing v, ascending."""
         self._check_vertex(v)
-        return [i for i in range(self.m) if self._us[i] == v or self._vs[i] == v]
+        return list(self._inc[v])
 
     def incidence_lists(self) -> list[list[int]]:
-        """Incident edge slots for every vertex, as a list indexed 1..n."""
-        inc: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for i in range(self.m):
-            inc[self._us[i]].append(i)
-            inc[self._vs[i]].append(i)
-        return inc
+        """Live incident edge slots for every vertex, ascending, indexed 1..n.
+
+        The lists are updated in place by every mutation; callers must not
+        modify them.
+        """
+        return self._inc
+
+    def free_pair(self, k: int) -> tuple[int, int]:
+        """The ``k``-th absent pair (u, v), u < v, in lexicographic order.
+
+        Walks the per-row counts of absent pairs, then the sorted taken
+        columns of the chosen row: O(n + deg) instead of listing all pairs.
+        """
+        n = self.n
+        if not 0 <= k < n * (n - 1) // 2 - self.m:
+            raise GraphError(f"no absent pair number {k}")
+        u = 1
+        while True:
+            row = n - u - self._upper[u]
+            if k < row:
+                break
+            k -= row
+            u += 1
+        us, vs = self._us, self._vs
+        v = u + 1 + k
+        for taken in sorted(vs[e] for e in self._inc[u] if us[e] == u):
+            if taken > v:
+                break
+            v += 1
+        return u, v
 
     # -- mutation ----------------------------------------------------------
 
@@ -127,15 +168,20 @@ class Graph:
         self._check_vertex(v)
         if u == v:
             raise GraphError(f"self-loop ({u},{v}) not allowed")
-        key = (min(u, v), max(u, v))
+        if u > v:
+            u, v = v, u
+        key = (u, v)
         if key in self._slot:
-            raise GraphError(f"duplicate edge ({key[0]},{key[1]})")
-        if self.m >= self.m_max:
+            raise GraphError(f"duplicate edge ({u},{v})")
+        slot = len(self._us)
+        if slot >= self.m_max:
             raise GraphError(f"edge universe full (m_max={self.m_max})")
-        slot = self.m
-        self._us.append(key[0])
-        self._vs.append(key[1])
+        self._us.append(u)
+        self._vs.append(v)
         self._slot[key] = slot
+        self._inc[u].append(slot)
+        self._inc[v].append(slot)
+        self._upper[u] += 1
         self._arrays = None
         return slot
 
@@ -150,11 +196,19 @@ class Graph:
         last = self.m - 1
         key = (self._us[index], self._vs[index])
         del self._slot[key]
+        for x in key:
+            inc = self._inc[x]
+            del inc[bisect_left(inc, index)]
+        self._upper[key[0]] -= 1
         remap: dict[int, int] = {}
         if index != last:
-            self._us[index] = self._us[last]
-            self._vs[index] = self._vs[last]
-            self._slot[(self._us[index], self._vs[index])] = index
+            moved = (self._us[last], self._vs[last])
+            self._us[index], self._vs[index] = moved
+            self._slot[moved] = index
+            for x in moved:
+                inc = self._inc[x]
+                inc.pop()  # the last slot is the largest in every list
+                insort(inc, index)
             remap[last] = index
         self._us.pop()
         self._vs.pop()
@@ -171,6 +225,8 @@ class Graph:
         g._us = list(self._us)
         g._vs = list(self._vs)
         g._slot = dict(self._slot)
+        g._inc = [list(inc) for inc in self._inc]
+        g._upper = list(self._upper)
         g._arrays = None
         return g
 

@@ -6,16 +6,14 @@ scaling exponents. Every run's randomness derives from (master_seed,
 run_index) through a fixed 64-bit mixing rule, so a sweep is a pure
 function of its configuration regardless of execution order or job count.
 
-The run loop keeps fitness incrementally: a mutation touches only the
-flipped edges and their endpoints' incidence lists, so a step costs O(hits)
-instead of O(m + n). The pure step functions in :mod:`dynvc.classic` and
-:mod:`dynvc.weighted` define the semantics; the engines here replicate them
-draw-for-draw and are differentially tested against them.
+The run loop drives one incremental engine per run (:mod:`dynvc.engine`):
+a step costs O(hits) and an edge change O(deg).
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
@@ -23,12 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classic import _flip_positions, fitness_classic
+from .classic import fitness_classic
 from .dynamics import (DELETE_POSITIVE_POLICY, UNIFORM_POLICY, ChangePolicy,
                        ScriptedChange, apply_change, parse_change_script,
                        pd_threshold_classic, pd_threshold_weighted_ea,
                        pd_threshold_weighted_rls, sample_change,
                        scripted_change)
+# perfbench/tracing.py times the engines' methods through these harness names
+from .engine import _ClassicEngine, _DualEngine, _make_engine  # noqa: F401
 from .graph import Graph, GraphError
 from .weighted import fitness_weighted
 
@@ -74,7 +74,7 @@ def _instance_weights(n: int, wmax: int, rng: np.random.Generator) -> dict[int, 
 
 def _decode_pairs(n: int, idx: np.ndarray) -> list[tuple[int, int]]:
     us, vs = np.triu_indices(n, k=1)
-    return [(int(us[i]) + 1, int(vs[i]) + 1) for i in idx]
+    return list(zip((us[idx] + 1).tolist(), (vs[idx] + 1).tolist()))
 
 
 def make_instance(family: str, m: int, wmax: int = 1, seed: int = 0) -> Graph:
@@ -193,194 +193,6 @@ def target_reached(sol: np.ndarray, g: Graph, problem: str) -> bool:
     raise ValueError(f"unknown problem {problem!r}")
 
 
-# -- incremental run engines ---------------------------------------------------
-
-class _ClassicEngine:
-    """Selection state with O(touched) updates; semantics of fitness_classic."""
-
-    __slots__ = ("m", "eu", "ev", "inc", "bits", "deg", "covcnt",
-                 "pairs", "uncovered", "cover_size", "selected")
-
-    def __init__(self, g: Graph, sol: np.ndarray):
-        eu, ev = g.edge_arrays()
-        self.m = g.m
-        self.eu = eu.tolist()
-        self.ev = ev.tolist()
-        self.inc = g.incidence_lists()
-        self.bits = [0] * g.m
-        self.deg = [0] * (g.n + 1)
-        self.covcnt = [0] * g.m
-        self.pairs = 0
-        self.uncovered = g.m
-        self.cover_size = 0
-        self.selected = 0
-        for j in range(g.m):
-            if sol[j]:
-                self._flip(j)
-
-    def _flip(self, j: int) -> None:
-        deg, inc, covcnt = self.deg, self.inc, self.covcnt
-        if self.bits[j]:
-            self.bits[j] = 0
-            self.selected -= 1
-            for x in (self.eu[j], self.ev[j]):
-                d = deg[x] - 1
-                deg[x] = d
-                self.pairs -= d
-                if d == 0:
-                    self.cover_size -= 1
-                    for e in inc[x]:
-                        c = covcnt[e] - 1
-                        covcnt[e] = c
-                        if c == 0:
-                            self.uncovered += 1
-        else:
-            self.bits[j] = 1
-            self.selected += 1
-            for x in (self.eu[j], self.ev[j]):
-                d = deg[x]
-                deg[x] = d + 1
-                self.pairs += d
-                if d == 0:
-                    self.cover_size += 1
-                    for e in inc[x]:
-                        c = covcnt[e]
-                        covcnt[e] = c + 1
-                        if c == 0:
-                            self.uncovered -= 1
-
-    def fitness(self) -> tuple[int, int, int]:
-        return (self.pairs, self.uncovered, self.cover_size)
-
-    def at_target(self) -> bool:
-        return self.pairs == 0 and self.uncovered == 0
-
-    def trace_sample(self) -> tuple[int, int]:
-        return (self.uncovered, self.selected)
-
-    def step(self, variant: str, rng: np.random.Generator) -> None:
-        m = self.m
-        if m == 0:
-            return
-        if variant == "rls":
-            pos = [int(rng.integers(m))]
-        else:
-            pos = _flip_positions(rng, m, 1.0 / m)
-            if not pos:
-                return  # mutant equals parent: tie accepted, state unchanged
-        cur = (self.pairs, self.uncovered, self.cover_size)
-        for j in pos:
-            self._flip(j)
-        if (self.pairs, self.uncovered, self.cover_size) <= cur:
-            return
-        for j in reversed(pos):
-            self._flip(j)
-
-    def solution(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.uint8)
-
-
-class _DualEngine:
-    """Dual-weight state with O(touched) updates; semantics of fitness_weighted."""
-
-    __slots__ = ("m", "eu", "ev", "inc", "w", "s", "load", "covcnt",
-                 "violations", "uncovered", "total")
-
-    def __init__(self, g: Graph, sol: np.ndarray):
-        eu, ev = g.edge_arrays()
-        self.m = g.m
-        self.eu = eu.tolist()
-        self.ev = ev.tolist()
-        self.inc = g.incidence_lists()
-        self.w = [int(x) for x in g.weights]
-        self.s = [int(x) for x in sol]
-        load = [0] * (g.n + 1)
-        for j in range(g.m):
-            load[self.eu[j]] += self.s[j]
-            load[self.ev[j]] += self.s[j]
-        self.load = load
-        self.violations = sum(1 for v in range(1, g.n + 1) if load[v] > self.w[v])
-        covered = [load[v] >= self.w[v] for v in range(g.n + 1)]
-        covered[0] = False
-        self.covcnt = [int(covered[self.eu[j]]) + int(covered[self.ev[j]])
-                       for j in range(g.m)]
-        self.uncovered = sum(1 for c in self.covcnt if c == 0)
-        self.total = sum(self.s)
-
-    def _delta(self, j: int, d: int) -> bool:
-        """Apply +-1 to edge j; False when a decrement clamps at zero."""
-        if d < 0 and self.s[j] == 0:
-            return False
-        self.s[j] += d
-        self.total += d
-        load, w, inc, covcnt = self.load, self.w, self.inc, self.covcnt
-        for x in (self.eu[j], self.ev[j]):
-            old = load[x]
-            load[x] = old + d
-            wx = w[x]
-            if d > 0:
-                if old == wx:
-                    self.violations += 1
-                elif old == wx - 1:  # x becomes covered
-                    for e in inc[x]:
-                        c = covcnt[e]
-                        covcnt[e] = c + 1
-                        if c == 0:
-                            self.uncovered -= 1
-            else:
-                if old == wx + 1:
-                    self.violations -= 1
-                elif old == wx:  # x stops being covered
-                    for e in inc[x]:
-                        c = covcnt[e] - 1
-                        covcnt[e] = c
-                        if c == 0:
-                            self.uncovered += 1
-        return True
-
-    def fitness(self) -> tuple[int, int, int]:
-        return (self.violations, self.uncovered, self.total)
-
-    def _key(self) -> tuple[int, int, int]:
-        return (-self.violations, -self.uncovered, self.total)
-
-    def at_target(self) -> bool:
-        return self.violations == 0 and self.uncovered == 0
-
-    def trace_sample(self) -> tuple[int, int]:
-        return (self.uncovered, self.total)
-
-    def step(self, variant: str, rng: np.random.Generator) -> None:
-        m = self.m
-        if m == 0:
-            return
-        if variant == "rls":
-            j = int(rng.integers(m))
-            b = int(rng.integers(2))
-            moves = [(j, 1 if b == 0 else -1)]
-        else:
-            pos = _flip_positions(rng, m, 1.0 / m)
-            if not pos:
-                return  # identical mutant is never strictly better
-            dirs = rng.integers(0, 2, size=len(pos))
-            moves = [(j, 1 if b == 0 else -1) for j, b in zip(pos, dirs)]
-        cur = self._key()
-        applied = [(j, d) for j, d in moves if self._delta(j, d)]
-        if not applied:
-            return
-        if self._key() > cur:
-            return
-        for j, d in reversed(applied):
-            self._delta(j, -d)
-
-    def solution(self) -> np.ndarray:
-        return np.array(self.s, dtype=np.int64)
-
-
-def _make_engine(problem: str, g: Graph, sol: np.ndarray):
-    return _ClassicEngine(g, sol) if problem == "classic" else _DualEngine(g, sol)
-
-
 # -- run records and tasks ------------------------------------------------------
 
 CSV_HEADER = ("run_index,seed,family,n,m,w_max,algo,problem,setting,param,"
@@ -446,10 +258,20 @@ class RunTask:
     keep_final: bool = True
 
 
+@functools.lru_cache(maxsize=1)
+def _instance(family: str, size: int, wmax: int, seed: int) -> Graph:
+    """One build per process of each family member that set-up and runs share.
+
+    A sweep's repetitions of one size run back to back on the same instance,
+    so a small bound suffices; callers that mutate the result copy it first.
+    """
+    return make_instance(family, size, wmax, seed)
+
+
 def _task_graph(task: RunTask) -> Graph:
     if task.graph_text is not None:
         return Graph.from_text(task.graph_text)
-    return make_instance(task.family, task.size, task.wmax, task.instance_seed)
+    return _instance(task.family, task.size, task.wmax, task.instance_seed).copy()
 
 
 def _task_policy(task: RunTask) -> ChangePolicy:
@@ -476,6 +298,11 @@ def run_once(task: RunTask) -> RunRecord:
     engine = _make_engine(task.problem, g, sol)
     policy = _task_policy(task)
 
+    def sample():
+        # the solution is materialised only for a policy that reads it
+        current = engine.solution() if policy.prefer_positive_deletion else None
+        return sample_change(g, rng, policy, current)
+
     if task.setting_kind == "onetime":
         setting_name, param = "onetime", str(task.at_step)
     elif task.setting_kind == "script":
@@ -501,21 +328,16 @@ def run_once(task: RunTask) -> RunRecord:
                 script_pos += 1
         elif task.setting_kind == "onetime":
             if t == task.at_step:
-                c = sample_change(g, rng, policy, engine.solution())
-                if c is not None:
-                    fired.append(c)
+                fired.append(sample())
         else:
             if task.initial_change and t == 0:
-                c = sample_change(g, rng, policy, engine.solution())
-                if c is not None:
-                    fired.append(c)
+                fired.append(sample())
             if polling and rng.random() < task.p_d:
-                c = sample_change(g, rng, policy, engine.solution())
-                if c is not None:
-                    fired.append(c)
+                fired.append(sample())
         for c in fired:
-            sol = apply_change(g, engine.solution(), c)
-            engine = _make_engine(task.problem, g, sol)
+            if c is None:
+                continue
+            apply_change(g, engine, c)
             n_changes += 1
             pending.append(evaluations)
 
@@ -721,7 +543,7 @@ def build_tasks(cfg: ExperimentConfig) -> list[RunTask]:
         if graph_text is not None:
             g = Graph.from_text(graph_text)
         else:
-            g = make_instance(cfg.family, size, cfg.wmax, instance_seed)
+            g = _instance(cfg.family, size, cfg.wmax, instance_seed)  # read-only here
         opt = None
         if "opt" in needed or cfg.pd == "auto_thm9":
             opt = exact_min_vc(g)[0]
@@ -745,15 +567,30 @@ def build_tasks(cfg: ExperimentConfig) -> list[RunTask]:
 
 
 def _run_task_safe(task: RunTask) -> RunRecord:
-    """Per-run failures become inline error records instead of killing a sweep."""
+    """Per-run failures become inline error records instead of killing a sweep.
+
+    An error record keeps the instance's n and m when the instance itself
+    builds, so that it lands in its own size group in :func:`summarize`.
+    """
     try:
         return run_once(task)
     except (GraphError, ValueError) as exc:
-        return RunRecord(
-            run_index=task.run_index, seed=task.master_seed, family=task.family,
-            n=0, m=0, w_max=task.wmax, algo=task.algo, problem=task.problem,
-            setting=task.setting_kind, param="", steps_to_target=0,
-            target_reached=False, budget=task.budget, error=str(exc))
+        error = str(exc)
+    try:
+        g = _task_graph(task)
+    except (GraphError, ValueError):
+        g = Graph(0)
+    return RunRecord(
+        run_index=task.run_index, seed=task.master_seed, family=task.family,
+        n=g.n, m=g.m, w_max=task.wmax, algo=task.algo, problem=task.problem,
+        setting=task.setting_kind, param="", steps_to_target=0,
+        target_reached=False, budget=task.budget, error=error)
+
+
+def _chunksize(n_tasks: int, jobs: int) -> int:
+    """Tasks per pool dispatch: batches of up to 8, small enough that every
+    worker gets a share of a small sweep."""
+    return max(1, min(8, n_tasks // jobs))
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
@@ -762,7 +599,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     tasks = build_tasks(cfg)
     if cfg.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_run_task_safe, tasks, chunksize=8))
+            records = list(pool.map(_run_task_safe, tasks,
+                                    chunksize=_chunksize(len(tasks), cfg.jobs)))
     else:
         records = [_run_task_safe(task) for task in tasks]
     records.sort(key=lambda r: r.run_index)
@@ -772,21 +610,31 @@ def run_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
 # -- statistics -----------------------------------------------------------------
 
 def summarize(records: list[RunRecord], by: str = "m") -> list[dict]:
-    """Group by an attribute; report mean, standard error, median, reach rate."""
+    """Group by an attribute; report mean, standard error, median, reach rate.
+
+    Runs that ended in an error are left out of the mean, standard error and
+    median, which are NaN for a group with no completed run, and are counted
+    under ``errors``. They still count in ``reached``, as runs that did not
+    reach the target.
+    """
     groups: dict[int, list[RunRecord]] = {}
     for r in records:
         groups.setdefault(getattr(r, by), []).append(r)
     rows = []
     for key in sorted(groups):
-        steps = np.array([r.steps_to_target for r in groups[key]], dtype=float)
+        group = groups[key]
+        steps = np.array([r.steps_to_target for r in group if r.error is None],
+                         dtype=float)
+        runs = len(steps)
         rows.append({
             by: key,
-            "runs": len(steps),
-            "mean": float(steps.mean()),
-            "stderr": float(steps.std(ddof=1) / math.sqrt(len(steps)))
-            if len(steps) > 1 else 0.0,
-            "median": float(np.median(steps)),
-            "reached": sum(r.target_reached for r in groups[key]) / len(steps),
+            "runs": runs,
+            "errors": len(group) - runs,
+            "mean": float(steps.mean()) if runs else math.nan,
+            "stderr": (float(steps.std(ddof=1) / math.sqrt(runs)) if runs > 1
+                       else 0.0 if runs else math.nan),
+            "median": float(np.median(steps)) if runs else math.nan,
+            "reached": sum(r.target_reached for r in group) / len(group),
         })
     return rows
 
@@ -799,7 +647,7 @@ def fit_scaling(points: list[tuple[float, float]]) -> float:
     vals = [p[1] for p in points]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
-    if any(v <= 0 for v in vals):
+    if not all(v > 0 for v in vals):  # also rejects NaN means
         raise ValueError("mean steps must be positive")
     return float(np.polyfit(np.log(sizes), np.log(vals), 1)[0])
 

@@ -34,6 +34,14 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def _sweep(cfg):
+    """``run_sweep``, failing the criterion when any run ended in an error."""
+    recs = run_sweep(cfg)
+    errors = [r.error for r in recs if r.error is not None]
+    assert not errors, f"{len(errors)} failed runs, first: {errors[0]}"
+    return recs
+
+
 def _pooled_means(record_lists, values=lambda r: [r.steps_to_target]):
     by_size = {}
     for recs in record_lists:
@@ -134,7 +142,7 @@ def test_c03_two_approximation_certification():
             setting="prob", pd=0.002, init="zeros",
             wmax=1 if problem == "classic" else 4, reps=13,
             seed=30 + idx, budget="auto", jobs=1)
-        for rec in run_sweep(cfg):
+        for rec in _sweep(cfg):
             runs += 1
             if not rec.target_reached or rec.n > 16:
                 continue
@@ -163,7 +171,7 @@ def test_c04_deletion_reoptimization_linear():
                                algo="ea", setting="onetime",
                                policy="delete_positive", reps=200, seed=2024,
                                budget="auto", jobs=JOBS, keep_final=False)
-        recs = run_sweep(cfg)
+        recs = _sweep(cfg)
         sweeps.append(recs)
         for row in summarize(recs):
             per_family_ok &= row["mean"] <= 50 * row["m"]
@@ -184,7 +192,7 @@ def test_c05_probabilistic_from_scratch():
                                algo="ea", setting="prob", pd="auto_thm2",
                                init="zeros", reps=200, seed=500, budget="auto",
                                jobs=JOBS, keep_final=False)
-        recs = run_sweep(cfg)
+        recs = _sweep(cfg)
         sweeps.append(recs)
         worst_reach = min(worst_reach,
                           min(r["reached"] for r in summarize(recs)))
@@ -204,7 +212,7 @@ def test_c06_probabilistic_reoptimization():
                                init="greedy", policy="delete_positive",
                                initial_change=True, reps=200, seed=600,
                                budget="auto", jobs=JOBS, keep_final=False)
-        sweeps.append(run_sweep(cfg))
+        sweeps.append(_sweep(cfg))
     pooled = _pooled_means(sweeps, values=lambda r: r.reopt_spans)
     spans = sum(len(r.reopt_spans) for recs in sweeps for r in recs)
     slope = fit_scaling(pooled)
@@ -218,7 +226,7 @@ def test_c07_weighted_rls_scaling():
                            problem="weighted", algo="rls", setting="onetime",
                            policy="delete_positive", wmax=8, reps=200,
                            seed=700, budget="auto", jobs=JOBS, keep_final=False)
-    rows = summarize(run_sweep(cfg))
+    rows = summarize(_sweep(cfg))
     slope_m = fit_scaling([(row["m"], row["mean"]) for row in rows])
     pts = []
     for wmax in (4, 8, 16, 32):
@@ -227,7 +235,7 @@ def test_c07_weighted_rls_scaling():
                                policy="delete_positive", wmax=wmax, reps=200,
                                seed=300 + wmax, budget="auto", jobs=JOBS,
                                keep_final=False)
-        pts.append((wmax, summarize(run_sweep(cfg))[0]["mean"]))
+        pts.append((wmax, summarize(_sweep(cfg))[0]["mean"]))
     slope_w = fit_scaling(pts)
     ok = 0.7 <= slope_m <= 1.3 and 0.7 <= slope_w <= 1.3
     _report("C7 weighted-rls-scaling", ok,
@@ -242,7 +250,7 @@ def test_c08_weighted_ea_phase_bound():
                            policy="delete_positive", wmax=8, reps=200,
                            seed=800, budget="3*(2*e*opt*m + 10*(e**2)*m*m)",
                            jobs=JOBS, keep_final=False)
-    recs = run_sweep(cfg)
+    recs = _sweep(cfg)
     by_size = {}
     for r in recs:
         by_size.setdefault(r.m, []).append(r)
@@ -266,13 +274,13 @@ def test_c09_weighted_probabilistic():
                            algo="rls", setting="prob", pd="auto_thm7",
                            init="zeros", wmax=8, reps=200, seed=900,
                            budget="50*opt*m", jobs=JOBS, keep_final=False)
-    rls_reach = min(r["reached"] for r in summarize(run_sweep(cfg)))
+    rls_reach = min(r["reached"] for r in summarize(_sweep(cfg)))
     cfg = ExperimentConfig(family="gnp", sizes=sizes, problem="weighted",
                            algo="ea", setting="prob", pd="auto_thm9",
                            init="zeros", wmax=8, reps=200, seed=901,
                            budget="5*1.1*(2*e*opt*m + 10*(e**2)*m*m)",
                            jobs=JOBS, keep_final=False)
-    ea_reach = min(r["reached"] for r in summarize(run_sweep(cfg)))
+    ea_reach = min(r["reached"] for r in summarize(_sweep(cfg)))
     ok = rls_reach >= 0.95 and ea_reach >= 0.95
     _report("C9 weighted-probabilistic", ok,
             f"worst reach rls {rls_reach:.3f}, ea {ea_reach:.3f}, both >= 0.95")

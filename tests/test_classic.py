@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from dynvc import (Graph, fitness_classic, cover_set, mutate_global,
                    mutate_local, step_classic, spawn_rng)
 from dynvc.classic import empty_solution, format_solution, parse_solution
-from dynvc.harness import _ClassicEngine, greedy_maximal_matching
+from dynvc.engine import _ClassicEngine
+from dynvc.harness import greedy_maximal_matching
 from dynvc.oracles import is_2_approx, is_maximal_matching
 
 from conftest import ForcedRng, flip_mask_draws, random_graph

@@ -131,6 +131,24 @@ def test_sweep_runs_config(tmp_path):
     assert run_cli("sweep", "--config", str(bad), "--out", str(out)) == 1
 
 
+def test_sweep_failed_runs_exit_4(tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    script = tmp_path / "changes.txt"
+    cfgfile = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep.csv"
+    run_cli("gen", "--family", "path", "--n", "9", "--seed", "2",
+            "--out", str(graph))
+    script.write_text("at 3 del 1 5\n")  # no such edge
+    cfgfile.write_text(f"family = file\ngraph = {graph}\nchanges = {script}\n"
+                       "reps = 2\n")
+    assert run_cli("sweep", "--config", str(cfgfile), "--out", str(out),
+                   "--jobs", "1") == 4
+    err = capsys.readouterr().err
+    assert "run 0: error: invalid change: edge (1,5) not present" in err
+    assert "run 1: error:" in err
+    assert len(out.read_text().strip().split("\n")) == 3
+
+
 def test_verify_classic(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     sol = tmp_path / "s.sol"

@@ -6,7 +6,8 @@ import pytest
 from dynvc import (AddEdge, Graph, GraphError, OneTime, Probabilistic,
                    RemoveEdge, apply_change, fitness_weighted, poll_change,
                    sample_change, spawn_rng)
-from dynvc.dynamics import (DELETE_POSITIVE_POLICY, ea_phase_length,
+from dynvc.dynamics import (DELETE_POSITIVE_POLICY, _sample_non_edge,
+                            ea_phase_length,
                             parse_change_script, pd_threshold_classic,
                             pd_threshold_weighted_ea,
                             pd_threshold_weighted_rls, scripted_change)
@@ -83,6 +84,26 @@ def test_sample_change_add_fraction_balanced():
         g.add_edge(u, v)  # about half full
     adds = sum(isinstance(sample_change(g, rng), AddEdge) for _ in range(10**5))
     assert 0.48 <= adds / 10**5 <= 0.52
+
+
+def test_dense_addition_draws_as_pair_enumeration():
+    # the dense branch picks the same pair, with the same one draw, as
+    # listing every absent pair in lexicographic order
+    rng = np.random.default_rng(15)
+    for seed in range(300):
+        n = int(rng.integers(3, 14))
+        g = Graph(n)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        m = int(rng.integers((len(pairs) + 1) // 2, len(pairs)))
+        for k in rng.permutation(len(pairs))[:m]:
+            g.add_edge(*pairs[int(k)])
+        if seed % 2:  # reorder slots through swap-removes
+            g.remove_edge(0)
+            g.add_edge(*g.free_pair(0))
+        free = [p for p in pairs if not g.has_edge(*p)]
+        rng_a, rng_b = spawn_rng(seed, 1), spawn_rng(seed, 1)
+        assert _sample_non_edge(g, rng_a) == free[int(rng_b.integers(len(free)))]
+        assert rng_a.random() == rng_b.random()
 
 
 def test_sampled_changes_are_valid():

@@ -126,6 +126,33 @@ def test_random_operation_sequences_keep_slots_dense():
             assert g.m == len(mirror)
             assert all(u < v for u, v in mirror)
             assert {g.edge_index(u, v) for u, v in mirror} == set(range(g.m))
+            assert g.incidence_lists() == scanned_incidence(g)
+
+
+def scanned_incidence(g):
+    """Reference incidence lists: one scan over all slots."""
+    inc = [[] for _ in range(g.n + 1)]
+    for i, (u, v) in enumerate(g.edges()):
+        inc[u].append(i)
+        inc[v].append(i)
+    return inc
+
+
+def test_free_pair_matches_enumeration():
+    rng = np.random.default_rng(405)
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        g = Graph(n)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        for k in rng.permutation(len(pairs))[:int(rng.integers(len(pairs) + 1))]:
+            g.add_edge(*pairs[int(k)])
+        for j in rng.permutation(g.m)[:int(rng.integers(g.m + 1))]:
+            if j < g.m:
+                g.remove_edge(int(j))
+        free = [p for p in pairs if not g.has_edge(*p)]
+        assert [g.free_pair(k) for k in range(len(free))] == free
+        with pytest.raises(GraphError, match="absent pair"):
+            g.free_pair(len(free))
 
 
 @settings(max_examples=50, deadline=None)
@@ -177,3 +204,6 @@ def test_copy_is_independent(triangle):
     g2.remove_edge(0)
     assert triangle.m == 3 and g2.m == 2
     assert triangle != g2
+    assert triangle.incidence_lists() == scanned_incidence(triangle)
+    assert g2.incidence_lists() == scanned_incidence(g2)
+    assert g2.free_pair(0) == (1, 2)

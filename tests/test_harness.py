@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from dynvc import (ExperimentConfig, Graph, fitness_classic, fitness_weighted,
                    run_once, run_sweep, spawn_rng, step_classic, step_weighted,
                    target_reached)
-from dynvc.harness import (RunTask, _ClassicEngine, _DualEngine, child_seed,
+from dynvc.engine import _ClassicEngine, _DualEngine
+from dynvc.harness import (RunTask, _chunksize,
+                           _run_task_safe, child_seed,
                            budget_names, default_budget_expr, eval_budget,
                            fit_scaling, greedy_maximal_dual,
                            greedy_maximal_matching, make_instance,
@@ -290,6 +294,8 @@ def test_fit_scaling_examples():
         fit_scaling([(2, 4), (2, 8), (8, 16)])
     with pytest.raises(ValueError, match="positive"):
         fit_scaling([(2, 0.0), (4, 8), (8, 16)])
+    with pytest.raises(ValueError, match="positive"):
+        fit_scaling([(2, 4), (4, math.nan), (8, 16)])
 
 
 def test_summarize_reports_mean_stderr_median():
@@ -300,6 +306,41 @@ def test_summarize_reports_mean_stderr_median():
         assert row["runs"] == 5
         assert row["stderr"] >= 0
         assert 0 <= row["reached"] <= 1
+
+
+def test_summarize_leaves_out_failed_runs():
+    g = make_instance("path", 6, seed=9)
+    from dynvc.dynamics import parse_change_script
+    bad = tuple(parse_change_script("at 2 del 1 5\n"))  # no such edge
+    recs = [run_once(base_task(run_index=i, size=6, init="greedy",
+                               setting_kind="onetime")) for i in range(3)]
+    recs += [_run_task_safe(base_task(run_index=3 + i, family="file", size=0,
+                                      graph_text=g.to_text(), init="greedy",
+                                      setting_kind="script", script=bad))
+             for i in range(2)]
+    assert all(r.error and r.n == 7 and r.m == 6 for r in recs[3:])
+    (row,) = summarize(recs)
+    assert row["runs"] == 3 and row["errors"] == 2
+    assert row["mean"] == np.mean([r.steps_to_target for r in recs[:3]])
+    assert row["reached"] == 3 / 5  # a failed run did not reach the target
+    (only_failed,) = summarize(recs[3:])
+    assert only_failed["runs"] == 0 and only_failed["errors"] == 2
+    assert only_failed["reached"] == 0.0
+    for stat in ("mean", "stderr", "median"):
+        assert np.isnan(only_failed[stat])
+
+
+def test_chunksize_reaches_every_worker():
+    assert _chunksize(100, 2) == 8  # large sweeps keep batches of 8
+    assert _chunksize(8, 2) == 4
+    assert _chunksize(4, 2) == 2
+    assert _chunksize(3, 4) == 1
+    for n_tasks in range(1, 40):
+        for jobs in range(1, 5):
+            size = _chunksize(n_tasks, jobs)
+            assert 1 <= size <= 8
+            # enough batches that no worker sits idle while another has two
+            assert -(-n_tasks // size) >= min(jobs, n_tasks)
 
 
 def test_csv_headers_and_shape():
