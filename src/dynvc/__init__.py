@@ -11,10 +11,10 @@ changes.
 from .classic import (ClassicFitness, cover_set, fitness_classic,
                       mutate_global, mutate_local, step_classic)
 from .dynamics import (AddEdge, Change, ChangePolicy, OneTime, Probabilistic,
-                       RemoveEdge, apply_change, ea_phase_length,
-                       parse_change_script, pd_threshold_classic,
-                       pd_threshold_weighted_ea, pd_threshold_weighted_rls,
-                       poll_change, sample_change)
+                       RemoveEdge, Schedule, Scripted, apply_change,
+                       ea_phase_length, parse_change_script,
+                       pd_threshold_classic, pd_threshold_weighted_ea,
+                       pd_threshold_weighted_rls, sample_change)
 from .graph import Graph, GraphError
 from .harness import (ExperimentConfig, RunRecord, RunTask, child_seed,
                       fit_scaling, greedy_maximal_dual,

@@ -3,8 +3,10 @@ and verify solutions against the brute-force oracles.
 
 Exit codes: 0 success, 1 usage or parse error, 2 budget exhausted in ``run``,
 3 verification failure, 4 one or more runs of a ``sweep`` failed (each
-error is printed to stderr; the CSV is still written). All randomness flows
-from the single ``--seed``.
+error is printed to stderr; the CSV is still written). ``run`` resolves and
+validates its repetition as a one-repetition ``sweep`` of its graph file, so
+both reject the same bad values. All randomness flows from the single
+``--seed``.
 """
 
 from __future__ import annotations
@@ -15,11 +17,8 @@ import sys
 
 from . import classic, weighted
 from .graph import Graph, GraphError
-from .harness import (ExperimentConfig, RunTask, budget_names,
-                      default_budget_expr, eval_budget, make_instance_by_n,
-                      records_to_csv, resolve_pd, run_once, run_sweep,
-                      traces_to_csv)
-from .dynamics import parse_change_script
+from .harness import (ExperimentConfig, build_tasks, make_instance_by_n,
+                      records_to_csv, run_once, run_sweep, traces_to_csv)
 from .oracles import OracleError, exact_min_vc, dual_feasible, dual_maximal, \
     is_matching, is_maximal_matching
 
@@ -197,34 +196,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    graph_text = _read(args.graph)
-    g = Graph.from_text(graph_text)
-    script = ()
-    if args.changes:
-        script = tuple(parse_change_script(_read(args.changes)))
-    pd_spec: float | str = args.pd if str(args.pd).startswith("auto_") else float(args.pd)
-    budget_expr = (default_budget_expr(args.problem, args.algo)
-                   if args.budget == "auto" else args.budget)
-    opt = None
-    if "opt" in budget_names(budget_expr) or pd_spec == "auto_thm9":
-        opt = exact_min_vc(g)[0]
-    p_d = resolve_pd(pd_spec, g, opt) if args.setting == "prob" else 0.0
-    names = {"m": float(g.m), "n": float(g.n), "wmax": float(max(g.w_max, 1)),
-             "e": math.e}
-    if opt is not None:
-        names["opt"] = float(opt)
-    budget = eval_budget(budget_expr, names)
-    init = args.init
-    if init == "auto":
-        init = "greedy" if (args.setting == "onetime" or script) else "zeros"
-    task = RunTask(
-        run_index=0, master_seed=args.seed, problem=args.problem,
-        algo=args.algo, family="file", size=0, wmax=max(g.w_max, 1),
-        instance_seed=0, setting_kind="script" if script else args.setting,
-        at_step=args.at_step, p_d=p_d, policy_name=args.policy, init=init,
-        budget=budget, stride=args.stride, want_trace=args.trace is not None,
-        graph_text=graph_text, script=script)
-    rec = run_once(task)
+    pd: float | str = args.pd if args.pd.startswith("auto_") else float(args.pd)
+    cfg = ExperimentConfig(
+        family="file", sizes=(), graph_file=args.graph, changes_file=args.changes,
+        problem=args.problem, algo=args.algo, setting=args.setting, pd=pd,
+        at_step=args.at_step, budget=args.budget, stride=args.stride,
+        seed=args.seed, init=args.init, policy=args.policy,
+        trace=args.trace is not None, reps=1, jobs=1)
+    rec = run_once(build_tasks(cfg)[0])
     _write(args.out, records_to_csv([rec]))
     if args.trace:
         _write(args.trace, traces_to_csv([rec]))

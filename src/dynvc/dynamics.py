@@ -1,9 +1,9 @@
-"""Dynamic edge changes and the two scheduling models.
+"""Dynamic edge changes and the schedules that fire them.
 
-A change is a single edge addition or deletion. Changes arrive either once
-at a fixed step (one-time setting) or per step with probability ``p_d``
-(probabilistic setting). A change fires at the step boundary, before that
-step's mutation, and does not consume a fitness evaluation.
+A change is a single edge addition or deletion. Changes arrive once at a
+fixed step (one-time setting), per step with probability ``p_d``
+(probabilistic setting), or at the steps of a script. A change fires at the
+step boundary, before that step's mutation, and costs no fitness evaluation.
 
 Added edges enter the current solution with bit/weight 0; deleted edges
 drop out of the solution, which is compacted with the graph's swap-remove
@@ -13,6 +13,7 @@ remap so slot i keeps meaning edge i.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,27 +36,6 @@ Change = AddEdge | RemoveEdge
 
 
 @dataclass(frozen=True)
-class OneTime:
-    """A single change at step ``at_step``; quiet afterwards."""
-
-    at_step: int = 0
-
-
-@dataclass(frozen=True)
-class Probabilistic:
-    """Independent chance ``p_d`` of a change at every step."""
-
-    p_d: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_d <= 1.0:
-            raise ValueError(f"p_d must be in [0, 1], got {self.p_d}")
-
-
-DynamicSetting = OneTime | Probabilistic
-
-
-@dataclass(frozen=True)
 class ChangePolicy:
     """How a fired change is realized.
 
@@ -73,13 +53,6 @@ class ChangePolicy:
 UNIFORM_POLICY = ChangePolicy()
 DELETE_POSITIVE_POLICY = ChangePolicy(add_fraction=0.0,
                                       prefer_positive_deletion=True)
-
-
-def poll_change(setting: DynamicSetting, t: int, rng: np.random.Generator) -> bool:
-    """Does a change fire at step ``t``?"""
-    if isinstance(setting, OneTime):
-        return t == setting.at_step
-    return rng.random() < setting.p_d
 
 
 def _sample_non_edge(g: Graph, rng: np.random.Generator) -> tuple[int, int] | None:
@@ -164,7 +137,8 @@ class ScriptedChange:
 
 
 def parse_change_script(text: str) -> list[ScriptedChange]:
-    """Parse ``at <t> add|del <u> <v>`` lines; steps must strictly increase."""
+    """Parse ``at <t> add|del <u> <v>`` lines; steps must be >= 0 and strictly
+    increase."""
     out: list[ScriptedChange] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -177,20 +151,100 @@ def parse_change_script(text: str) -> list[ScriptedChange]:
             t, u, v = int(parts[1]), int(parts[3]), int(parts[4])
         except ValueError:
             raise ValueError(f"line {lineno}: bad integer") from None
+        if t < 0:
+            raise ValueError(f"line {lineno}: step must be >= 0, got {t}")
         if out and t <= out[-1].at_step:
             raise ValueError(f"line {lineno}: steps must strictly increase")
         out.append(ScriptedChange(t, parts[2], u, v))
     return out
 
 
-def scripted_change(g: Graph, sc: ScriptedChange) -> Change:
-    """Resolve a scripted record against the current graph."""
-    if sc.op == "add":
-        return AddEdge(sc.u, sc.v)
-    idx = g.edge_index(sc.u, sc.v)
-    if idx is None:
-        raise GraphError(f"invalid change: edge ({sc.u},{sc.v}) not present")
-    return RemoveEdge(idx)
+# -- schedules ----------------------------------------------------------------
+
+class _Schedule:
+    """When changes fire. At boundary t the change of each step in ``due()``
+    fires, then a sampled one with chance ``rate``; none is due after
+    ``last_step()``."""
+
+    rate = 0.0
+
+    def last_step(self) -> int:
+        due = self.due()
+        return due[-1] if due else 0
+
+    def change(self, k: int, g: Graph, sample: Callable[[], Change | None]) -> Change | None:
+        """The change of the k-th due step: a sampled one unless scripted."""
+        return sample()
+
+
+@dataclass(frozen=True)
+class OneTime(_Schedule):
+    """A single sampled change at step ``at_step``; quiet afterwards."""
+
+    at_step: int = 0
+
+    def __post_init__(self) -> None:
+        if self.at_step < 0:
+            raise ValueError(f"at_step must be >= 0, got {self.at_step}")
+
+    def due(self) -> tuple[int, ...]:
+        return (self.at_step,)
+
+    def label(self) -> tuple[str, str]:
+        return "onetime", str(self.at_step)
+
+
+@dataclass(frozen=True)
+class Probabilistic(_Schedule):
+    """Independent chance ``p_d`` of a change at every step, after one forced
+    change at step 0 when ``initial``."""
+
+    p_d: float
+    initial: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p_d <= 1.0:
+            raise ValueError(f"p_d must be in [0, 1], got {self.p_d}")
+
+    @property
+    def rate(self) -> float:
+        return self.p_d
+
+    def due(self) -> tuple[int, ...]:
+        return (0,) if self.initial else ()
+
+    def label(self) -> tuple[str, str]:
+        return "prob", repr(self.p_d)
+
+
+@dataclass(frozen=True)
+class Scripted(_Schedule):
+    """The changes of a change script, each at its own step."""
+
+    changes: tuple[ScriptedChange, ...]
+
+    def __post_init__(self) -> None:
+        steps = [-1] + list(self.due())
+        if any(b <= a for a, b in zip(steps, steps[1:])):
+            raise ValueError("scripted steps must be >= 0 and strictly increase")
+
+    def due(self) -> tuple[int, ...]:
+        return tuple(c.at_step for c in self.changes)
+
+    def change(self, k: int, g: Graph, sample: Callable[[], Change | None]) -> Change:
+        sc = self.changes[k]
+        if sc.op == "add":
+            return AddEdge(sc.u, sc.v)
+        idx = g.edge_index(sc.u, sc.v)
+        if idx is None:
+            raise GraphError(f"invalid change: edge ({sc.u},{sc.v}) not present")
+        return RemoveEdge(idx)
+
+    def label(self) -> tuple[str, str]:
+        return "script", "script"
+
+
+Schedule = OneTime | Probabilistic | Scripted
 
 
 # -- change-rate thresholds, computed from instance parameters ---------------

@@ -23,10 +23,10 @@ import numpy as np
 
 from .classic import fitness_classic
 from .dynamics import (DELETE_POSITIVE_POLICY, UNIFORM_POLICY, ChangePolicy,
-                       ScriptedChange, apply_change, parse_change_script,
+                       OneTime, Probabilistic, Schedule, Scripted,
+                       apply_change, parse_change_script,
                        pd_threshold_classic, pd_threshold_weighted_ea,
-                       pd_threshold_weighted_rls, sample_change,
-                       scripted_change)
+                       pd_threshold_weighted_rls, sample_change)
 # perfbench/tracing.py times the engines' methods through these harness names
 from .engine import _ClassicEngine, _DualEngine, _make_engine  # noqa: F401
 from .graph import Graph, GraphError
@@ -241,52 +241,39 @@ class RunTask:
     problem: str
     algo: str
     family: str
-    size: int
     wmax: int
-    instance_seed: int
-    setting_kind: str        # onetime | prob | script
-    at_step: int
-    p_d: float
-    policy_name: str         # uniform | delete_positive
+    source: str | tuple[str, int, int, int]  # graph file text | (family, size, wmax, seed)
+    schedule: Schedule
+    policy: ChangePolicy
     init: str                # zeros | greedy
     budget: int
     stride: int
     want_trace: bool
-    initial_change: bool = False
-    graph_text: str | None = None
-    script: tuple[ScriptedChange, ...] = ()
     keep_final: bool = True
 
 
 @functools.lru_cache(maxsize=1)
-def _instance(family: str, size: int, wmax: int, seed: int) -> Graph:
-    """One build per process of each family member that set-up and runs share.
+def _instance(source: str | tuple[str, int, int, int]) -> Graph:
+    """One build per process of each task ``source`` that set-up and runs share.
 
     A sweep's repetitions of one size run back to back on the same instance,
     so a small bound suffices; callers that mutate the result copy it first.
     """
-    return make_instance(family, size, wmax, seed)
-
-
-def _task_graph(task: RunTask) -> Graph:
-    if task.graph_text is not None:
-        return Graph.from_text(task.graph_text)
-    return _instance(task.family, task.size, task.wmax, task.instance_seed).copy()
-
-
-def _task_policy(task: RunTask) -> ChangePolicy:
-    return DELETE_POSITIVE_POLICY if task.policy_name == "delete_positive" else UNIFORM_POLICY
+    if isinstance(source, str):
+        return Graph.from_text(source)
+    return make_instance(*source)
 
 
 def run_once(task: RunTask) -> RunRecord:
     """Execute one repetition; a pure function of the task.
 
-    The loop per step: fire any change due at the boundary (free), check the
-    target every ``stride`` evaluations, then mutate and evaluate the mutant
-    (one evaluation). The run stops at the first certified target state or
-    when the budget is exhausted; budget exhaustion is recorded, not raised.
+    The loop per step: fire the schedule's changes at the boundary (free),
+    check the target every ``stride`` evaluations, then mutate and evaluate
+    the mutant (one evaluation). The run stops at the first certified target
+    state after the schedule's last due step, or when the budget is
+    exhausted; budget exhaustion is recorded, not raised.
     """
-    g = _task_graph(task)
+    g = _instance(task.source).copy()
     rng = spawn_rng(task.master_seed, task.run_index)
     n0, m0 = g.n, g.m
     if task.init == "greedy":
@@ -296,44 +283,33 @@ def run_once(task: RunTask) -> RunRecord:
         dtype = np.uint8 if task.problem == "classic" else np.int64
         sol = np.zeros(g.m, dtype=dtype)
     engine = _make_engine(task.problem, g, sol)
-    policy = _task_policy(task)
+    policy = task.policy
 
     def sample():
         # the solution is materialised only for a policy that reads it
         current = engine.solution() if policy.prefer_positive_deletion else None
         return sample_change(g, rng, policy, current)
 
-    if task.setting_kind == "onetime":
-        setting_name, param = "onetime", str(task.at_step)
-    elif task.setting_kind == "script":
-        setting_name, param = "script", "script"
-    else:
-        setting_name, param = "prob", repr(task.p_d)
-
-    polling = task.setting_kind == "prob" and task.p_d > 0.0
-    script_pos = 0
+    schedule = task.schedule
+    due, rate, last_step = schedule.due(), schedule.rate, schedule.last_step()
+    k = 0  # index of the next due step
+    next_due = due[0] if due else -1
     evaluations = 0
     target_time: int | None = None
     pending: list[int] = []
     spans: list[int] = []
     n_changes = 0
     trace: list[tuple[int, int, int]] | None = [] if task.want_trace else None
-    t = 0
     while True:
-        # change boundary (no evaluation cost)
-        fired = []
-        if task.setting_kind == "script":
-            while script_pos < len(task.script) and task.script[script_pos].at_step == t:
-                fired.append(scripted_change(g, task.script[script_pos]))
-                script_pos += 1
-        elif task.setting_kind == "onetime":
-            if t == task.at_step:
-                fired.append(sample())
-        else:
-            if task.initial_change and t == 0:
-                fired.append(sample())
-            if polling and rng.random() < task.p_d:
-                fired.append(sample())
+        # change boundary (no evaluation cost); every change is drawn before
+        # the first is applied, and no poll is drawn at rate 0
+        fired = ()
+        if evaluations == next_due:
+            fired = (schedule.change(k, g, sample),)
+            k += 1
+            next_due = due[k] if k < len(due) else -1
+        if rate and rng.random() < rate:
+            fired += (sample(),)
         for c in fired:
             if c is None:
                 continue
@@ -348,24 +324,17 @@ def run_once(task: RunTask) -> RunRecord:
             if engine.at_target():
                 spans.extend(evaluations - mark for mark in pending)
                 pending.clear()
-                # stop at the first certified target once no further changes
-                # are scheduled (scripted/one-time changes may still be due)
-                if task.setting_kind == "script":
-                    no_more = script_pos == len(task.script)
-                elif task.setting_kind == "onetime":
-                    no_more = t >= task.at_step
-                else:
-                    no_more = True
-                if target_time is None and no_more:
+                # stop at the first certified target once no change is due
+                if target_time is None and evaluations >= last_step:
                     target_time = evaluations
                     break
         if evaluations >= task.budget:
             break
         engine.step(task.algo, rng)
         evaluations += 1
-        t += 1
 
     reached = target_time is not None
+    setting_name, param = schedule.label()
     return RunRecord(
         run_index=task.run_index, seed=task.master_seed, family=task.family,
         n=n0, m=m0, w_max=task.wmax, algo=task.algo, problem=task.problem,
@@ -442,6 +411,13 @@ def default_budget_expr(problem: str, algo: str) -> str:
 
 # -- sweeps ----------------------------------------------------------------------
 
+# rate specs: each theorem's safe rate from the instance and its optimum
+_AUTO_PD = {
+    "auto_thm2": lambda g, opt: pd_threshold_classic(g.m),
+    "auto_thm7": lambda g, opt: pd_threshold_weighted_rls(g.w_max, g.m),
+    "auto_thm9": lambda g, opt: pd_threshold_weighted_ea(opt, g.m),
+}
+
 @dataclass
 class ExperimentConfig:
     """A sweep: one graph family swept over sizes, fixed algorithm and setting."""
@@ -484,12 +460,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown algo {self.algo!r}")
         if self.setting not in ("onetime", "prob"):
             raise ValueError(f"unknown setting {self.setting!r}")
+        if self.at_step < 0:
+            raise ValueError(f"at_step must be >= 0, got {self.at_step}")
         if self.init not in ("auto", "zeros", "greedy"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.policy not in ("uniform", "delete_positive"):
             raise ValueError(f"unknown policy {self.policy!r}")
         if isinstance(self.pd, str):
-            if self.pd not in ("auto_thm2", "auto_thm7", "auto_thm9"):
+            if self.pd not in _AUTO_PD:
                 raise ValueError(f"unknown pd spec {self.pd!r}")
         elif not 0.0 <= float(self.pd) <= 1.0:
             raise ValueError(f"pd must be in [0, 1], got {self.pd}")
@@ -497,27 +475,12 @@ class ExperimentConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
-def resolve_pd(pd: float | str, g: Graph, opt: int | None = None) -> float:
-    """Turn a rate spec into a number using the instance's parameters."""
-    if isinstance(pd, str):
-        if pd == "auto_thm2":
-            return pd_threshold_classic(g.m)
-        if pd == "auto_thm7":
-            return pd_threshold_weighted_rls(g.w_max, g.m)
-        if pd == "auto_thm9":
-            if opt is None:
-                raise ValueError("auto_thm9 needs the instance optimum")
-            return pd_threshold_weighted_ea(opt, g.m)
-        raise ValueError(f"unknown pd spec {pd!r}")
-    return float(pd)
-
-
 def build_tasks(cfg: ExperimentConfig) -> list[RunTask]:
     """Expand a config into one task per (sweep point, repetition)."""
     from .oracles import exact_min_vc  # deferred: only sweeps that need OPT pay for it
 
     cfg.validate()
-    script: tuple[ScriptedChange, ...] = ()
+    script = ()
     if cfg.changes_file:
         with open(cfg.changes_file, "r", encoding="utf-8") as fh:
             script = tuple(parse_change_script(fh.read()))
@@ -525,29 +488,30 @@ def build_tasks(cfg: ExperimentConfig) -> list[RunTask]:
     if cfg.family == "file":
         with open(cfg.graph_file, "r", encoding="utf-8") as fh:
             graph_text = fh.read()
-        Graph.from_text(graph_text)  # fail fast on bad files
     sizes = cfg.sizes if cfg.family != "file" else (0,)
 
     budget_expr = (default_budget_expr(cfg.problem, cfg.algo)
                    if cfg.budget == "auto" else cfg.budget)
     needed = budget_names(budget_expr)
-    init = cfg.init
-    if init == "auto":
-        init = "greedy" if (cfg.setting == "onetime" or cfg.initial_change
-                            or script) else "zeros"
-    setting_kind = "script" if script else cfg.setting
-
     tasks: list[RunTask] = []
     for p_idx, size in enumerate(sizes):
-        instance_seed = child_seed(cfg.seed, p_idx, salt=_INSTANCE_SALT)
-        if graph_text is not None:
-            g = Graph.from_text(graph_text)
-        else:
-            g = _instance(cfg.family, size, cfg.wmax, instance_seed)  # read-only here
+        source = graph_text if graph_text is not None else (
+            cfg.family, size, cfg.wmax, child_seed(cfg.seed, p_idx, salt=_INSTANCE_SALT))
+        g = _instance(source)  # read-only here
+        # a file graph records its own weight bound
+        wmax = cfg.wmax if graph_text is None else max(g.w_max, 1)
         opt = None
         if "opt" in needed or cfg.pd == "auto_thm9":
             opt = exact_min_vc(g)[0]
-        p_d = resolve_pd(cfg.pd, g, opt) if cfg.setting == "prob" else 0.0
+        if script:
+            schedule: Schedule = Scripted(script)
+        elif cfg.setting == "onetime":
+            schedule = OneTime(cfg.at_step)
+        else:
+            p_d = _AUTO_PD[cfg.pd](g, opt) if isinstance(cfg.pd, str) else float(cfg.pd)
+            schedule = Probabilistic(p_d, cfg.initial_change)
+        # auto: start from a greedy solution when a change is due at a set step
+        init = cfg.init if cfg.init != "auto" else ("greedy" if schedule.due() else "zeros")
         names = {"m": float(g.m), "n": float(g.n), "wmax": float(max(g.w_max, 1)),
                  "e": math.e}
         if opt is not None:
@@ -557,12 +521,11 @@ def build_tasks(cfg: ExperimentConfig) -> list[RunTask]:
             tasks.append(RunTask(
                 run_index=p_idx * cfg.reps + r, master_seed=cfg.seed,
                 problem=cfg.problem, algo=cfg.algo, family=cfg.family,
-                size=size, wmax=cfg.wmax, instance_seed=instance_seed,
-                setting_kind=setting_kind, at_step=cfg.at_step, p_d=p_d,
-                policy_name=cfg.policy, init=init, budget=budget,
+                wmax=wmax, source=source, schedule=schedule,
+                policy=DELETE_POSITIVE_POLICY if cfg.policy == "delete_positive"
+                else UNIFORM_POLICY, init=init, budget=budget,
                 stride=cfg.stride, want_trace=cfg.trace,
-                initial_change=cfg.initial_change, graph_text=graph_text,
-                script=script, keep_final=cfg.keep_final))
+                keep_final=cfg.keep_final))
     return tasks
 
 
@@ -570,20 +533,22 @@ def _run_task_safe(task: RunTask) -> RunRecord:
     """Per-run failures become inline error records instead of killing a sweep.
 
     An error record keeps the instance's n and m when the instance itself
-    builds, so that it lands in its own size group in :func:`summarize`.
+    builds, so that it lands in its own size group in :func:`summarize`, and
+    its schedule's setting and param.
     """
     try:
         return run_once(task)
     except (GraphError, ValueError) as exc:
         error = str(exc)
     try:
-        g = _task_graph(task)
+        g = _instance(task.source)
     except (GraphError, ValueError):
         g = Graph(0)
+    setting, param = task.schedule.label()
     return RunRecord(
         run_index=task.run_index, seed=task.master_seed, family=task.family,
         n=g.n, m=g.m, w_max=task.wmax, algo=task.algo, problem=task.problem,
-        setting=task.setting_kind, param="", steps_to_target=0,
+        setting=setting, param=param, steps_to_target=0,
         target_reached=False, budget=task.budget, error=error)
 
 

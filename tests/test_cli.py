@@ -87,6 +87,58 @@ def test_run_with_change_script(tmp_path):
     assert ",script," in out.read_text()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--stride", "0"), "stride must be >= 1"),
+    (("--pd", "1.5"), "pd must be in [0, 1]"),
+    (("--pd", "-1"), "pd must be in [0, 1]"),
+    (("--setting", "onetime", "--at-step", "-3"), "at_step must be >= 0"),
+])
+def test_run_validates_like_sweep(tmp_path, capsys, flags, message):
+    graph = tmp_path / "g.graph"
+    out = tmp_path / "runs.csv"
+    run_cli("gen", "--family", "path", "--n", "9", "--seed", "2",
+            "--out", str(graph))
+    argv = {"--setting": "prob", "--pd": "0", "--stride": "1"}
+    argv.update(zip(flags[::2], flags[1::2]))
+    code = run_cli("run", "--graph", str(graph), "--problem", "classic",
+                   "--algo", "ea", "--budget", "auto", "--seed", "1",
+                   "--out", str(out), *(x for kv in argv.items() for x in kv))
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_negative_script_step(tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    script = tmp_path / "changes.txt"
+    run_cli("gen", "--family", "path", "--n", "9", "--seed", "2",
+            "--out", str(graph))
+    script.write_text("at -1 del 1 2\n")
+    code = run_cli("run", "--graph", str(graph), "--problem", "classic",
+                   "--algo", "ea", "--setting", "prob", "--changes",
+                   str(script), "--budget", "auto", "--seed", "3",
+                   "--out", str(tmp_path / "runs.csv"))
+    assert code == 1
+    assert "line 1: step must be >= 0" in capsys.readouterr().err
+
+
+def test_run_row_matches_one_rep_sweep_row(tmp_path):
+    graph = tmp_path / "g.graph"
+    cfgfile = tmp_path / "sweep.cfg"
+    run_out, sweep_out = tmp_path / "run.csv", tmp_path / "sweep.csv"
+    run_cli("gen", "--family", "gnp", "--n", "12", "--m", "24", "--wmax", "5",
+            "--seed", "8", "--out", str(graph))
+    assert Graph.from_text(graph.read_text()).w_max > 1
+    code = run_cli("run", "--graph", str(graph), "--problem", "weighted",
+                   "--algo", "ea", "--setting", "prob", "--pd", "auto_thm9",
+                   "--budget", "auto", "--seed", "4", "--out", str(run_out))
+    cfgfile.write_text(f"family = file\ngraph = {graph}\nproblem = weighted\n"
+                       "algo = ea\nsetting = prob\npd = auto_thm9\nseed = 4\n")
+    assert run_cli("sweep", "--config", str(cfgfile), "--out", str(sweep_out),
+                   "--jobs", "1") == code
+    assert run_out.read_text() == sweep_out.read_text()
+
+
 def test_usage_errors_exit_1(tmp_path):
     assert run_cli("run", "--graph", "nope.graph", "--problem", "classic",
                    "--algo", "ea", "--setting", "prob", "--budget", "auto",

@@ -1,18 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dynvc import (AddEdge, Graph, GraphError, OneTime, Probabilistic,
-                   RemoveEdge, apply_change, fitness_weighted, poll_change,
-                   sample_change, spawn_rng)
-from dynvc.dynamics import (DELETE_POSITIVE_POLICY, _sample_non_edge,
+                   RemoveEdge, Scripted, apply_change, fitness_weighted,
+                   harness, sample_change, spawn_rng)
+from dynvc.dynamics import (DELETE_POSITIVE_POLICY, UNIFORM_POLICY,
+                            _sample_non_edge,
                             ea_phase_length,
                             parse_change_script, pd_threshold_classic,
                             pd_threshold_weighted_ea,
-                            pd_threshold_weighted_rls, scripted_change)
+                            pd_threshold_weighted_rls)
+from dynvc.engine import _ClassicEngine, _make_engine
 from dynvc.oracles import dual_feasible, is_matching
-from dynvc.harness import greedy_maximal_dual, greedy_maximal_matching
+from dynvc.harness import (RunTask, greedy_maximal_dual,
+                           greedy_maximal_matching, make_instance, run_once)
 
 from conftest import random_graph
 
@@ -46,22 +50,85 @@ def test_apply_remove_bad_index(p3):
         apply_change(p3, np.zeros(2, dtype=np.uint8), RemoveEdge(5))
 
 
-def test_poll_change_degenerate_rates():
-    rng = spawn_rng(1, 0)
-    assert not any(poll_change(Probabilistic(0.0), t, rng) for t in range(10**4))
-    assert all(poll_change(Probabilistic(1.0), t, rng) for t in range(10**4))
-    assert [t for t in range(10) if poll_change(OneTime(3), t, rng)] == [3]
+def _schedule_task(schedule, budget, seed=1, size=8):
+    """A classic run from zeros whose target is checked only at step 0, so it
+    lasts its whole budget."""
+    return RunTask(run_index=0, master_seed=seed, problem="classic", algo="ea",
+                   family="path", wmax=1, source=("path", size, 1, 5),
+                   schedule=schedule, policy=UNIFORM_POLICY, init="zeros",
+                   budget=budget, stride=budget + 1, want_trace=False)
 
 
-def test_poll_change_frequency():
-    rng = spawn_rng(2, 0)
-    hits = sum(poll_change(Probabilistic(0.5), t, rng) for t in range(10**5))
-    assert 0.49 <= hits / 10**5 <= 0.51
+def _firing_steps(monkeypatch, schedule, budget, seed=1):
+    """The boundaries at which ``run_once`` draws a change under ``schedule``.
+
+    The stand-in sampler records the step and draws no change, so the graph
+    never changes."""
+    done, fired = [0], []
+    step = _ClassicEngine.step
+
+    def counted(self, variant, rng):
+        done[0] += 1
+        step(self, variant, rng)
+
+    monkeypatch.setattr(_ClassicEngine, "step", counted)
+    monkeypatch.setattr(harness, "sample_change", lambda *args: fired.append(done[0]))
+    run_once(_schedule_task(schedule, budget, seed))
+    return fired
+
+
+def test_schedule_firing_degenerate_rates(monkeypatch):
+    n = 10**4
+    assert _firing_steps(monkeypatch, Probabilistic(0.0), n) == []
+    assert _firing_steps(monkeypatch, Probabilistic(1.0), n) == list(range(n + 1))
+    assert _firing_steps(monkeypatch, OneTime(3), 10) == [3]
+    # the forced change at step 0 comes on top of that step's poll
+    assert _firing_steps(monkeypatch, Probabilistic(1.0, initial=True), 5) == [0, 0, 1, 2, 3, 4, 5]
+    assert _firing_steps(monkeypatch, Probabilistic(0.0, initial=True), 5) == [0]
+
+
+def test_schedule_firing_frequency(monkeypatch):
+    n = 10**5
+    hits = len(_firing_steps(monkeypatch, Probabilistic(0.5), n, seed=2))
+    assert 0.49 <= hits / (n + 1) <= 0.51
+
+
+def test_zero_rate_draws_no_poll():
+    # at rate 0 the run's stream feeds the search alone
+    task = _schedule_task(Probabilistic(0.0), 300, size=30)
+    g = make_instance("path", 30, 1, 5)
+    engine = _make_engine("classic", g, np.zeros(g.m, dtype=np.uint8))
+    rng = spawn_rng(task.master_seed, task.run_index)
+    for _ in range(300):
+        engine.step("ea", rng)
+    assert np.array_equal(run_once(task).final_solution, engine.solution())
 
 
 def test_probabilistic_rate_validated():
     with pytest.raises(ValueError, match="p_d"):
         Probabilistic(1.5)
+
+
+def test_schedule_last_step_and_label():
+    script = tuple(parse_change_script("at 0 del 1 2\nat 5 add 1 3\n"))
+    assert Scripted(script).last_step() == 5
+    assert Scripted(script[:1]).last_step() == 0
+    assert Scripted(()).last_step() == 0
+    assert OneTime(7).last_step() == 7
+    assert Probabilistic(0.25, initial=True).last_step() == 0
+    assert Scripted(script).label() == ("script", "script")
+    assert OneTime(7).label() == ("onetime", "7")
+    assert Probabilistic(0.25).label() == ("prob", "0.25")
+
+
+def test_schedule_steps_validated():
+    with pytest.raises(ValueError, match="at_step"):
+        OneTime(-3)
+    script = tuple(parse_change_script("at 2 del 1 2\nat 5 add 1 3\n"))
+    with pytest.raises(ValueError, match="strictly increase"):
+        Scripted(script[::-1])
+    with pytest.raises(ValueError, match=">= 0"):
+        Scripted((replace(script[0], at_step=-1),))
 
 
 def test_sample_change_only_option():
@@ -203,12 +270,17 @@ def test_parse_change_script():
         parse_change_script("at x add 1 2\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_change_script("at 1 add 1 2\nat 2 zap 1 2\n")
+    with pytest.raises(ValueError, match="line 2: step must be >= 0"):
+        parse_change_script("# first line\nat -1 del 1 2\n")
 
 
 def test_scripted_change_resolution(p3):
-    c = scripted_change(p3, parse_change_script("at 0 del 2 3\n")[0])
+    def scripted_change(g, text):
+        return Scripted(tuple(parse_change_script(text))).change(0, g, None)
+
+    c = scripted_change(p3, "at 0 del 2 3\n")
     assert c == RemoveEdge(1)
     with pytest.raises(GraphError, match="not present"):
-        scripted_change(p3, parse_change_script("at 0 del 1 3\n")[0])
-    add = scripted_change(p3, parse_change_script("at 0 add 1 3\n")[0])
+        scripted_change(p3, "at 0 del 1 3\n")
+    add = scripted_change(p3, "at 0 add 1 3\n")
     assert add == AddEdge(1, 3)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dynvc import (ExperimentConfig, Graph, fitness_classic, fitness_weighted,
-                   run_once, run_sweep, spawn_rng, step_classic, step_weighted,
-                   target_reached)
+from dynvc import (ExperimentConfig, Graph, OneTime, Probabilistic, Scripted,
+                   fitness_classic, fitness_weighted, run_once, run_sweep,
+                   spawn_rng, step_classic, step_weighted, target_reached)
 from dynvc.engine import _ClassicEngine, _DualEngine
-from dynvc.harness import (RunTask, _chunksize,
-                           _run_task_safe, child_seed,
+from dynvc.harness import (RunTask, _chunksize, _instance,
+                           _run_task_safe, build_tasks, child_seed,
                            budget_names, default_budget_expr, eval_budget,
                            fit_scaling, greedy_maximal_dual,
                            greedy_maximal_matching, make_instance,
@@ -17,6 +17,7 @@ from dynvc.harness import (RunTask, _chunksize,
 from dynvc.oracles import (dual_maximal, exact_min_vc, is_2_approx,
                            is_maximal_matching)
 from dynvc.classic import cover_set
+from dynvc.dynamics import DELETE_POSITIVE_POLICY, UNIFORM_POLICY
 from dynvc.weighted import induced_cover
 
 from conftest import random_graph
@@ -151,9 +152,9 @@ def test_engine_target_agrees_with_predicate():
 
 def base_task(**kw):
     defaults = dict(run_index=0, master_seed=1, problem="classic", algo="ea",
-                    family="path", size=8, wmax=1, instance_seed=5,
-                    setting_kind="prob", at_step=0, p_d=0.0,
-                    policy_name="uniform", init="zeros", budget=10**4,
+                    family="path", wmax=1, source=("path", 8, 1, 5),
+                    schedule=Probabilistic(0.0),
+                    policy=UNIFORM_POLICY, init="zeros", budget=10**4,
                     stride=1, want_trace=False)
     defaults.update(kw)
     return RunTask(**defaults)
@@ -165,8 +166,8 @@ def test_run_once_initial_target_is_zero_steps():
 
 
 def test_run_once_weighted_rls_reaches_checked_maximal(p3w):
-    task = base_task(problem="weighted", algo="rls", family="file", size=0,
-                     graph_text=p3w.to_text())
+    task = base_task(problem="weighted", algo="rls", family="file",
+                     source=p3w.to_text())
     rec = run_once(task)
     assert rec.target_reached
     g = Graph.from_text(rec.final_graph_text)
@@ -175,8 +176,8 @@ def test_run_once_weighted_rls_reaches_checked_maximal(p3w):
 
 
 def test_run_once_is_deterministic():
-    task = base_task(problem="weighted", algo="ea", family="gnp", size=12,
-                     wmax=4, p_d=0.01, want_trace=True)
+    task = base_task(problem="weighted", algo="ea", family="gnp",
+                     source=("gnp", 12, 4, 5), wmax=4, schedule=Probabilistic(0.01), want_trace=True)
     a, b = run_once(task), run_once(task)
     assert a.steps_to_target == b.steps_to_target
     assert a.trace == b.trace
@@ -186,14 +187,14 @@ def test_run_once_is_deterministic():
 
 
 def test_run_once_budget_exhaustion_recorded():
-    rec = run_once(base_task(size=30, budget=3))
+    rec = run_once(base_task(source=("path", 30, 1, 5), budget=3))
     assert not rec.target_reached
     assert rec.steps_to_target == 3 == rec.budget
 
 
 def test_run_once_counts_changes_and_spans():
-    task = base_task(init="greedy", setting_kind="onetime",
-                     policy_name="delete_positive", size=16)
+    task = base_task(init="greedy", schedule=OneTime(),
+                     policy=DELETE_POSITIVE_POLICY, source=("path", 16, 1, 5))
     rec = run_once(task)
     assert rec.n_changes == 1
     assert len(rec.reopt_spans) == 1
@@ -204,8 +205,8 @@ def test_run_once_scripted_changes():
     g = make_instance("path", 6, seed=9)
     from dynvc.dynamics import parse_change_script
     script = tuple(parse_change_script("at 0 del 3 4\nat 2 del 1 2\n"))
-    task = base_task(family="file", size=0, graph_text=g.to_text(),
-                     setting_kind="script", script=script, init="greedy")
+    task = base_task(family="file", source=g.to_text(),
+                     schedule=Scripted(script), init="greedy")
     rec = run_once(task)
     assert rec.n_changes == 2
     assert rec.target_reached
@@ -213,7 +214,8 @@ def test_run_once_scripted_changes():
 
 
 def test_run_once_trace_stride():
-    task = base_task(size=16, want_trace=True, stride=4, budget=100)
+    task = base_task(source=("path", 16, 1, 5), want_trace=True, stride=4,
+                     budget=100)
     rec = run_once(task)
     steps = [row[0] for row in rec.trace]
     assert steps == sorted(steps)
@@ -237,6 +239,30 @@ def test_run_sweep_rejects_bad_config():
         ExperimentConfig(family="blob", sizes=(4,)).validate()
     with pytest.raises(ValueError, match="pd"):
         ExperimentConfig(family="path", sizes=(4,), pd=1.5).validate()
+    with pytest.raises(ValueError, match="at_step"):
+        ExperimentConfig(family="path", sizes=(4,), setting="onetime",
+                         at_step=-3).validate()
+
+
+def test_file_sweep_parses_its_graph_once(tmp_path, monkeypatch):
+    path = tmp_path / "g.graph"
+    path.write_text(make_instance("gnp", 20, wmax=5, seed=3).to_text())
+    parsed = []
+    from_text = Graph.from_text.__func__
+    monkeypatch.setattr(Graph, "from_text", classmethod(
+        lambda cls, text: parsed.append(1) or from_text(cls, text)))
+    _instance.cache_clear()
+    cfg = ExperimentConfig(family="file", sizes=(), graph_file=str(path),
+                           setting="onetime", reps=4, seed=2)
+    recs = run_sweep(cfg)
+    text = path.read_text()
+    assert _instance(text).to_text() == text  # each run changed its own copy
+    assert len(parsed) == 1
+    assert all(r.n_changes == 1 for r in recs)
+    # a file graph records its own weight bound, not the config's
+    g = Graph.from_text(path.read_text())
+    assert 1 < g.w_max and {r.w_max for r in recs} == {g.w_max}
+    assert {t.wmax for t in build_tasks(cfg)} == {g.w_max}
 
 
 def test_run_sweep_deterministic_and_job_invariant():
@@ -312,13 +338,14 @@ def test_summarize_leaves_out_failed_runs():
     g = make_instance("path", 6, seed=9)
     from dynvc.dynamics import parse_change_script
     bad = tuple(parse_change_script("at 2 del 1 5\n"))  # no such edge
-    recs = [run_once(base_task(run_index=i, size=6, init="greedy",
-                               setting_kind="onetime")) for i in range(3)]
-    recs += [_run_task_safe(base_task(run_index=3 + i, family="file", size=0,
-                                      graph_text=g.to_text(), init="greedy",
-                                      setting_kind="script", script=bad))
+    recs = [run_once(base_task(run_index=i, source=("path", 6, 1, 5), init="greedy",
+                               schedule=OneTime())) for i in range(3)]
+    recs += [_run_task_safe(base_task(run_index=3 + i, family="file",
+                                      source=g.to_text(), init="greedy",
+                                      schedule=Scripted(bad)))
              for i in range(2)]
     assert all(r.error and r.n == 7 and r.m == 6 for r in recs[3:])
+    assert all((r.setting, r.param) == ("script", "script") for r in recs[3:])
     (row,) = summarize(recs)
     assert row["runs"] == 3 and row["errors"] == 2
     assert row["mean"] == np.mean([r.steps_to_target for r in recs[:3]])
