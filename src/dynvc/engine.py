@@ -2,12 +2,14 @@
 
 An engine owns its graph. It reads the graph's live endpoint and incidence
 lists, and edge changes go through its ``add_edge``/``remove_edge``, which
-update the graph and the engine state together in O(deg). A mutation
-touches only the flipped edges and their endpoints' incidence lists, so a
-step costs O(hits) instead of O(m + n). The pure step functions in
-:mod:`dynvc.classic` and :mod:`dynvc.weighted` and the array path of
-:func:`dynvc.dynamics.apply_change` define the semantics; the engines
-replicate them draw-for-draw and are differentially tested against them.
+update the graph and the engine state together in O(deg). A step that
+makes one move is decided in O(1) from the endpoints' degrees or loads, and
+only an accepted move walks their incidence lists; a step of k > 1 moves
+applies them and reverts them on rejection, in O(k deg). The pure step
+functions in :mod:`dynvc.classic` and :mod:`dynvc.weighted` and the array
+path of :func:`dynvc.dynamics.apply_change` define the semantics; the
+engines replicate them draw-for-draw and are differentially tested against
+them.
 """
 
 from __future__ import annotations
@@ -115,17 +117,25 @@ class _ClassicEngine:
         if m == 0:
             return
         if variant == "rls":
-            pos = [int(rng.integers(m))]
+            j = int(rng.integers(m))
         else:
             pos = _flip_positions(rng, m, 1.0 / m)
+            if len(pos) > 1:
+                cur = (self.pairs, self.uncovered, self.cover_size)
+                for j in pos:
+                    self._flip(j)
+                if (self.pairs, self.uncovered, self.cover_size) > cur:
+                    for j in reversed(pos):
+                        self._flip(j)
+                return
             if not pos:
                 return  # mutant equals parent: tie accepted, state unchanged
-        cur = (self.pairs, self.uncovered, self.cover_size)
-        for j in pos:
-            self._flip(j)
-        if (self.pairs, self.uncovered, self.cover_size) <= cur:
-            return
-        for j in reversed(pos):
+            j = pos[0]
+        # one flip, decided from its endpoints' degrees d: selecting keeps the
+        # pairs iff d == 0, and then edge j covers itself; deselecting drops
+        # d - 2 pairs, and at d == 2 it uncovers edge j
+        d = self.deg[self.eu[j]] + self.deg[self.ev[j]]
+        if d > 2 if self.bits[j] else d == 0:
             self._flip(j)
 
     def solution(self) -> np.ndarray:
@@ -233,22 +243,29 @@ class _DualEngine:
             return
         if variant == "rls":
             j = int(rng.integers(m))
-            b = int(rng.integers(2))
-            moves = [(j, 1 if b == 0 else -1)]
         else:
             pos = _flip_positions(rng, m, 1.0 / m)
+            if len(pos) > 1:
+                # one scalar coin per hit draws what rng.integers(0, 2, size=k) does
+                moves = [(j, 1 if rng.integers(2) == 0 else -1) for j in pos]
+                cur = self._key()
+                applied = [(j, d) for j, d in moves if self._delta(j, d)]
+                if applied and self._key() <= cur:
+                    for j, d in reversed(applied):
+                        self._delta(j, -d)
+                return
             if not pos:
                 return  # identical mutant is never strictly better
-            dirs = rng.integers(0, 2, size=len(pos))
-            moves = [(j, 1 if b == 0 else -1) for j, b in zip(pos, dirs)]
-        cur = self._key()
-        applied = [(j, d) for j, d in moves if self._delta(j, d)]
-        if not applied:
-            return
-        if self._key() > cur:
-            return
-        for j, d in reversed(applied):
-            self._delta(j, -d)
+            j = pos[0]
+        # one move, decided from its endpoints' loads: +1 wins iff it makes no
+        # new violation; -1 wins iff it ends one, since otherwise the total
+        # falls and uncovered cannot; a clamped -1 changes nothing
+        u, v, load, w = self.eu[j], self.ev[j], self.load, self.w
+        if rng.integers(2) == 0:
+            if load[u] != w[u] and load[v] != w[v]:
+                self._delta(j, 1)
+        elif self.s[j] and (load[u] == w[u] + 1 or load[v] == w[v] + 1):
+            self._delta(j, -1)
 
     def solution(self) -> np.ndarray:
         return np.array(self.s, dtype=np.int64)

@@ -7,7 +7,8 @@ run_index) through a fixed 64-bit mixing rule, so a sweep is a pure
 function of its configuration regardless of execution order or job count.
 
 The run loop drives one incremental engine per run (:mod:`dynvc.engine`):
-a step costs O(hits) and an edge change O(deg).
+a one-move step is decided in O(1), only accepted moves walk incidence
+lists, and an edge change costs O(deg).
 """
 
 from __future__ import annotations
@@ -153,28 +154,31 @@ def make_instance_by_n(family: str, n: int, m: int | None = None,
 
 def greedy_maximal_matching(g: Graph, rng: np.random.Generator | None = None) -> np.ndarray:
     """Scan edges (shuffled when ``rng`` given) and select while disjoint."""
-    sol = np.zeros(g.m, dtype=np.uint8)
-    order = range(g.m) if rng is None else rng.permutation(g.m)
-    used = np.zeros(g.n + 1, dtype=bool)
+    eu, ev = g.endpoint_lists()
+    sol = [0] * g.m
+    used = [False] * (g.n + 1)
+    order = range(g.m) if rng is None else rng.permutation(g.m).tolist()
     for j in order:
-        u, v = g.endpoints(int(j))
+        u, v = eu[j], ev[j]
         if not used[u] and not used[v]:
             sol[j] = 1
             used[u] = used[v] = True
-    return sol
+    return np.array(sol, dtype=np.uint8)
+
 
 def greedy_maximal_dual(g: Graph, rng: np.random.Generator | None = None) -> np.ndarray:
     """Scan edges and raise each to the smaller residual slack of its endpoints."""
-    sol = np.zeros(g.m, dtype=np.int64)
-    order = range(g.m) if rng is None else rng.permutation(g.m)
-    slack = g.weights.copy()
+    eu, ev = g.endpoint_lists()
+    sol = [0] * g.m
+    slack = g.weights.tolist()
+    order = range(g.m) if rng is None else rng.permutation(g.m).tolist()
     for j in order:
-        u, v = g.endpoints(int(j))
-        x = min(int(slack[u]), int(slack[v]))
+        u, v = eu[j], ev[j]
+        x = min(slack[u], slack[v])
         sol[j] = x
         slack[u] -= x
         slack[v] -= x
-    return sol
+    return np.array(sol, dtype=np.int64)
 
 
 def target_reached(sol: np.ndarray, g: Graph, problem: str) -> bool:
@@ -290,32 +294,34 @@ def run_once(task: RunTask) -> RunRecord:
         current = engine.solution() if policy.prefer_positive_deletion else None
         return sample_change(g, rng, policy, current)
 
+    pending: list[int] = []  # steps of the changes not yet re-optimized
+
+    def fire(change, at: int) -> int:
+        if change is None:
+            return 0
+        apply_change(g, engine, change)
+        pending.append(at)
+        return 1
+
     schedule = task.schedule
     due, rate, last_step = schedule.due(), schedule.rate, schedule.last_step()
     k = 0  # index of the next due step
     next_due = due[0] if due else -1
     evaluations = 0
     target_time: int | None = None
-    pending: list[int] = []
     spans: list[int] = []
     n_changes = 0
     trace: list[tuple[int, int, int]] | None = [] if task.want_trace else None
     while True:
-        # change boundary (no evaluation cost); every change is drawn before
-        # the first is applied, and no poll is drawn at rate 0
-        fired = ()
+        # change boundary (no evaluation cost); each change is applied as soon
+        # as it is drawn, so a poll hit after a due change draws from the
+        # changed graph; no poll is drawn at rate 0
         if evaluations == next_due:
-            fired = (schedule.change(k, g, sample),)
+            n_changes += fire(schedule.change(k, g, sample), evaluations)
             k += 1
             next_due = due[k] if k < len(due) else -1
         if rate and rng.random() < rate:
-            fired += (sample(),)
-        for c in fired:
-            if c is None:
-                continue
-            apply_change(g, engine, c)
-            n_changes += 1
-            pending.append(evaluations)
+            n_changes += fire(sample(), evaluations)
 
         if evaluations % task.stride == 0:
             if trace is not None and (not trace or trace[-1][0] != evaluations):

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dynvc import (AddEdge, Graph, GraphError, OneTime, Probabilistic,
-                   RemoveEdge, Scripted, apply_change, fitness_weighted,
-                   harness, sample_change, spawn_rng)
+from dynvc import (AddEdge, ExperimentConfig, Graph, GraphError, OneTime,
+                   Probabilistic, RemoveEdge, Scripted, apply_change,
+                   fitness_weighted, harness, run_sweep, sample_change,
+                   spawn_rng)
 from dynvc.dynamics import (DELETE_POSITIVE_POLICY, UNIFORM_POLICY,
                             _sample_non_edge,
                             ea_phase_length,
@@ -91,6 +92,17 @@ def test_schedule_firing_frequency(monkeypatch):
     n = 10**5
     hits = len(_firing_steps(monkeypatch, Probabilistic(0.5), n, seed=2))
     assert 0.49 <= hits / (n + 1) <= 0.51
+
+
+def test_step_zero_poll_hit_draws_from_the_changed_graph():
+    # the forced change and a poll hit at step 0 are drawn one after the
+    # other; the second must see the first, or it may name an edge the first
+    # deletion moved or a pair the first addition took
+    cfg = ExperimentConfig(family="path", sizes=(8,), setting="prob", pd=0.5,
+                           initial_change=True, reps=200, seed=3)
+    records = run_sweep(cfg)
+    assert [r.error for r in records if r.error] == []
+    assert sum(r.n_changes for r in records) > 0
 
 
 def test_zero_rate_draws_no_poll():

@@ -20,7 +20,7 @@ from dynvc.classic import cover_set
 from dynvc.dynamics import DELETE_POSITIVE_POLICY, UNIFORM_POLICY
 from dynvc.weighted import induced_cover
 
-from conftest import random_graph
+from conftest import ForcedRng, flip_mask_draws, random_graph
 
 
 # -- seeding -----------------------------------------------------------------
@@ -136,6 +136,39 @@ def test_engine_matches_pure_steps(problem, variant):
             engine.step(variant, rng_b)
             assert engine.fitness() == tuple(f)
         assert np.array_equal(engine.solution(), sol)
+
+
+def _forced_one_move(variant, j, m, coin):
+    """Draws that make one step hit slot j alone (with ``coin`` for a dual)."""
+    coins = [] if coin is None else [coin]
+    if variant == "rls":
+        return ForcedRng(integers=[j] + coins)
+    return ForcedRng(geometric=flip_mask_draws([j], m), integers=coins)
+
+
+@pytest.mark.parametrize("problem", ["classic", "weighted"])
+def test_engine_one_move_steps_match_pure_steps(problem):
+    # every slot, both variants and both dual directions, from states with
+    # adjacent selected edges, overloaded vertices and zero dual entries
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        g = random_graph(rng, n_max=7, w_max=3 if problem == "weighted" else 1)
+        if problem == "classic":
+            sol = (rng.random(g.m) < 0.4).astype(np.uint8)
+            make, fitness, step, coins = _ClassicEngine, fitness_classic, step_classic, [None]
+        else:
+            sol = rng.integers(0, 3, size=g.m).astype(np.int64)
+            make, fitness, step, coins = _DualEngine, fitness_weighted, step_weighted, [0, 1]
+        for variant in ("ea", "rls"):
+            for j in range(g.m):
+                for coin in coins:
+                    engine = make(g, sol)
+                    draws = _forced_one_move(variant, j, g.m, coin)
+                    engine.step(variant, draws)
+                    want = step(sol, g, variant, _forced_one_move(variant, j, g.m, coin))
+                    assert not (draws._geo or draws._int)
+                    assert engine.fitness() == tuple(fitness(want, g))
+                    assert np.array_equal(engine.solution(), want)
 
 
 def test_engine_target_agrees_with_predicate():
