@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import classic, weighted
@@ -49,7 +50,8 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the line-oriented ``key = value`` sweep configuration.
 
     ``#`` starts a comment. Unknown keys and malformed or out-of-range values
-    are errors that name the offending line.
+    are errors that name the offending line. ``jobs`` defaults to the
+    available cores.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -82,6 +84,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if "family" not in values:
         raise ConfigError("missing required key 'family'")
     values.setdefault("sizes", ())
+    values.setdefault("jobs", os.cpu_count() or 1)
     values["graph_file"] = values.pop("graph", None)
     values["changes_file"] = values.pop("changes", None)
     cfg = ExperimentConfig(**values)  # type: ignore[arg-type]
@@ -100,7 +103,7 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", parents=[], help="generate a graph file",
                          description="Write a family instance in the text graph format.")
     gen.add_argument("--family", required=True,
-                     choices=["path", "cycle", "star", "bipartite", "gnp", "file"])
+                     choices=["path", "cycle", "star", "bipartite", "gnp"])
     gen.add_argument("--n", required=True, type=int, help="number of vertices")
     gen.add_argument("--m", type=int, default=None,
                      help="edge count (gnp only; default: half of all pairs)")
@@ -187,8 +190,6 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "file":
-        raise _UsageError("gen: family 'file' cannot be generated")
     g = make_instance_by_n(args.family, args.n, m=args.m, wmax=args.wmax,
                            seed=args.seed)
     _write(args.out, g.to_text())
@@ -211,19 +212,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    text = _read(args.config)
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(_read(args.config))
     except ConfigError as exc:
         raise _UsageError(f"sweep: {exc}") from None
-    config_sets_jobs = any(
-        line.split("#", 1)[0].strip().startswith("jobs")
-        for line in text.splitlines())
     if args.jobs is not None:
         cfg.jobs = args.jobs
-    elif not config_sets_jobs:
-        import os
-        cfg.jobs = os.cpu_count() or 1
     records = run_sweep(cfg)
     _write(args.out, records_to_csv(records))
     if args.trace_out:

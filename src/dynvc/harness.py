@@ -73,9 +73,14 @@ def _instance_weights(n: int, wmax: int, rng: np.random.Generator) -> dict[int, 
     return {v: int(draws[v - 1]) for v in range(1, n + 1)}
 
 
-def _decode_pairs(n: int, idx: np.ndarray) -> list[tuple[int, int]]:
+def _gnp(n: int, m: int, wmax: int, rng: np.random.Generator) -> Graph:
+    """``m`` distinct uniform edges on ``n`` vertices, drawn before the weights."""
+    idx = np.sort(rng.choice(n * (n - 1) // 2, size=m, replace=False))
     us, vs = np.triu_indices(n, k=1)
-    return list(zip((us[idx] + 1).tolist(), (vs[idx] + 1).tolist()))
+    g = Graph(n, vertex_weight=_instance_weights(n, wmax, rng))
+    for u, v in zip((us[idx] + 1).tolist(), (vs[idx] + 1).tolist()):
+        g.add_edge(u, v)
+    return g
 
 
 def make_instance(family: str, m: int, wmax: int = 1, seed: int = 0) -> Graph:
@@ -108,8 +113,7 @@ def make_instance(family: str, m: int, wmax: int = 1, seed: int = 0) -> Graph:
         n = 2
         while n * (n - 1) // 2 < 2 * m:
             n += 1
-        idx = rng.choice(n * (n - 1) // 2, size=m, replace=False)
-        edges = _decode_pairs(n, np.sort(idx))
+        return _gnp(n, m, wmax, rng)
     else:
         raise ValueError(f"unknown family {family!r}")
     g = Graph(n, vertex_weight=_instance_weights(n, wmax, rng))
@@ -120,65 +124,54 @@ def make_instance(family: str, m: int, wmax: int = 1, seed: int = 0) -> Graph:
 
 def make_instance_by_n(family: str, n: int, m: int | None = None,
                        wmax: int = 1, seed: int = 0) -> Graph:
-    """Build a family member with ``n`` vertices (the generator CLI's view)."""
-    if family == "path":
-        return make_instance("path", n - 1, wmax, seed) if n > 1 else Graph(n)
-    if family == "cycle":
-        return make_instance("cycle", n, wmax, seed)
-    if family == "star":
-        return make_instance("star", n - 1, wmax, seed) if n > 1 else Graph(n)
-    if family == "bipartite":
-        a = n // 2
-        rng = spawn_rng(seed, 0, salt=_INSTANCE_SALT)
-        g = Graph(n, vertex_weight=_instance_weights(n, wmax, rng))
-        for i in range(1, a + 1):
-            for j in range(a + 1, n + 1):
-                g.add_edge(i, j)
-        return g
+    """Build a family member with ``n`` vertices (the generator CLI's view).
+
+    Non-gnp families are ``make_instance`` at the edge count n vertices give
+    (edgeless Graph(n) when n <= 1); gnp puts ``m`` edges, default half of
+    all pairs, on exactly n vertices, drawn as in ``make_instance``.
+    """
     if family == "gnp":
         total = n * (n - 1) // 2
         m = total // 2 if m is None else m
         if not 0 <= m <= total:
             raise ValueError(f"gnp with n={n} supports 0 <= m <= {total}")
-        rng = spawn_rng(seed, 0, salt=_INSTANCE_SALT)
-        weights = _instance_weights(n, wmax, rng)
-        idx = rng.choice(total, size=m, replace=False)
-        g = Graph(n, vertex_weight=weights)
-        for u, v in _decode_pairs(n, np.sort(idx)):
-            g.add_edge(u, v)
-        return g
-    raise ValueError(f"unknown family {family!r}")
+        return _gnp(n, m, wmax, spawn_rng(seed, 0, salt=_INSTANCE_SALT))
+    m_of_n = {"path": n - 1, "star": n - 1, "cycle": n,
+              "bipartite": (n // 2) * (n - n // 2)}
+    if family not in m_of_n:
+        raise ValueError(f"unknown family {family!r}")
+    if n <= 1 and family != "cycle":
+        return Graph(n)
+    return make_instance(family, m_of_n[family], wmax, seed)
 
 
 # -- starting points and targets ----------------------------------------------
 
-def greedy_maximal_matching(g: Graph, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Scan edges (shuffled when ``rng`` given) and select while disjoint."""
+def _greedy_scan(g: Graph, slack: list[int], rng: np.random.Generator | None,
+                 dtype: type) -> np.ndarray:
+    """Scan edges (shuffled when ``rng`` given) and raise each to the smaller
+    residual ``slack`` of its endpoints, consuming the slack list."""
     eu, ev = g.endpoint_lists()
     sol = [0] * g.m
-    used = [False] * (g.n + 1)
     order = range(g.m) if rng is None else rng.permutation(g.m).tolist()
     for j in order:
         u, v = eu[j], ev[j]
-        if not used[u] and not used[v]:
-            sol[j] = 1
-            used[u] = used[v] = True
-    return np.array(sol, dtype=np.uint8)
+        if slack[u] and slack[v]:
+            x = sol[j] = min(slack[u], slack[v])
+            slack[u] -= x
+            slack[v] -= x
+    return np.array(sol, dtype=dtype)
+
+
+def greedy_maximal_matching(g: Graph, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Scan edges (shuffled when ``rng`` given) and select while disjoint:
+    the greedy dual scan at unit vertex capacities."""
+    return _greedy_scan(g, [1] * (g.n + 1), rng, np.uint8)
 
 
 def greedy_maximal_dual(g: Graph, rng: np.random.Generator | None = None) -> np.ndarray:
     """Scan edges and raise each to the smaller residual slack of its endpoints."""
-    eu, ev = g.endpoint_lists()
-    sol = [0] * g.m
-    slack = g.weights.tolist()
-    order = range(g.m) if rng is None else rng.permutation(g.m).tolist()
-    for j in order:
-        u, v = eu[j], ev[j]
-        x = min(slack[u], slack[v])
-        sol[j] = x
-        slack[u] -= x
-        slack[v] -= x
-    return np.array(sol, dtype=np.int64)
+    return _greedy_scan(g, g.weights.tolist(), rng, np.int64)
 
 
 def target_reached(sol: np.ndarray, g: Graph, problem: str) -> bool:

@@ -50,8 +50,8 @@ def is_maximal_matching(sol: np.ndarray, g: Graph) -> bool:
     return bool((covered[eu] | covered[ev]).all())
 
 
-def _cover_bb(n: int, edges: list[tuple[int, int]], w: list[int]) -> int:
-    """Minimum cover weight by branch and bound over vertex inclusion.
+def _cover_bb(n: int, edges: list[tuple[int, int]], w: list[int]) -> tuple[int, int]:
+    """Minimum cover (weight, vertex bit mask) by branch and bound.
 
     Branches on a max-uncovered-degree vertex: either it joins the cover or
     all its uncovered neighbours do. A greedy matching bound prunes.
@@ -60,7 +60,7 @@ def _cover_bb(n: int, edges: list[tuple[int, int]], w: list[int]) -> int:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    best = [sum(w[1:]) + 1]
+    best = [sum(w[1:]) + 1, 0]
 
     def matching_lb(mask: int) -> int:
         used = 0
@@ -83,8 +83,8 @@ def _cover_bb(n: int, edges: list[tuple[int, int]], w: list[int]) -> int:
             d = sum(1 for x in adj[v] if not mask & (1 << x))
             if d > pick_deg:
                 pick, pick_deg = v, d
-        if pick_deg == 0:
-            best[0] = cur
+        if pick_deg == 0:  # every edge covered, and cur is the mask's weight
+            best[:] = [cur, mask]
             return
         rec(mask | (1 << pick), cur + w[pick])
         nm, add = mask, 0
@@ -95,62 +95,14 @@ def _cover_bb(n: int, edges: list[tuple[int, int]], w: list[int]) -> int:
         rec(nm, cur + add)
 
     rec(0, 0)
-    return best[0]
-
-
-def _lex_min_cover(n: int, edges: list[tuple[int, int]], w: list[int],
-                   target: int) -> frozenset[int]:
-    """First cover of weight ``target`` in exclude-first vertex order.
-
-    Trying exclusion before inclusion at each vertex yields the cover whose
-    indicator vector (x_1..x_n) is lexicographically smallest among all
-    minimum-weight covers.
-    """
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    def matching_lb(inc_mask: int, exc_mask: int) -> int:
-        used = 0
-        total = 0
-        for u, v in edges:
-            bu, bv = 1 << u, 1 << v
-            if inc_mask & (bu | bv) or used & (bu | bv):
-                continue
-            used |= bu | bv
-            cands = [w[u]] if not exc_mask & bu else []
-            if not exc_mask & bv:
-                cands.append(w[v])
-            total += min(cands) if cands else 0
-        return total
-
-    def rec(v: int, inc: int, exc: int, cur: int) -> int | None:
-        if cur + matching_lb(inc, exc) > target:
-            return None
-        if v > n:
-            return inc  # every edge covered: a dead edge would have pruned
-        bit = 1 << v
-        if all(not exc & (1 << x) for x in adj[v]):
-            got = rec(v + 1, inc, exc | bit, cur)
-            if got is not None:
-                return got
-        if cur + w[v] <= target:
-            return rec(v + 1, inc | bit, exc, cur + w[v])
-        return None
-
-    got = rec(1, 0, 0, 0)
-    if got is None:  # unreachable if target is the true optimum
-        raise OracleError("no cover at target weight")
-    return frozenset(v for v in range(1, n + 1) if got & (1 << v))
+    return best[0], best[1]
 
 
 def exact_min_vc(g: Graph) -> tuple[int, frozenset[int]]:
     """Exact minimum weight vertex cover (weight, cover) for n <= 24.
 
-    Among minimum-weight covers, ties break to the one whose indicator
-    vector over v1..vn is lexicographically smallest, i.e. low-index
-    vertices are left out whenever possible.
+    The cover is one minimum-weight cover; which one among ties is not
+    specified.
     """
     if g.n > VC_MAX_N:
         raise OracleError(f"exact_min_vc supports n <= {VC_MAX_N}, got n={g.n}")
@@ -158,8 +110,8 @@ def exact_min_vc(g: Graph) -> tuple[int, frozenset[int]]:
     w = [0] + [g.vertex_weight(v) for v in range(1, g.n + 1)]
     if not edges:
         return 0, frozenset()
-    weight = _cover_bb(g.n, edges, w)
-    return weight, _lex_min_cover(g.n, edges, w, weight)
+    weight, mask = _cover_bb(g.n, edges, w)
+    return weight, frozenset(v for v in range(1, g.n + 1) if mask >> v & 1)
 
 
 def is_2_approx(cover: set[int], g: Graph) -> bool:

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -143,8 +144,9 @@ def test_usage_errors_exit_1(tmp_path):
     assert run_cli("run", "--graph", "nope.graph", "--problem", "classic",
                    "--algo", "ea", "--setting", "prob", "--budget", "auto",
                    "--seed", "1", "--out", str(tmp_path / "o")) == 1
-    assert run_cli("gen", "--family", "dodecahedron", "--n", "4", "--seed",
-                   "1", "--out", str(tmp_path / "g")) == 1
+    for family in ("dodecahedron", "file"):
+        assert run_cli("gen", "--family", family, "--n", "4", "--seed",
+                       "1", "--out", str(tmp_path / "g")) == 1
     assert run_cli("frobnicate") == 1
 
 
@@ -163,6 +165,21 @@ def test_parse_config_examples():
         parse_config("family = path\nfamily = star\n")
     with pytest.raises(ConfigError, match="missing"):
         parse_config("sizes = 8\n")
+
+
+def test_sweep_jobs_default_and_override(tmp_path, monkeypatch):
+    assert parse_config("family = path\nsizes = 8\n").jobs == (os.cpu_count() or 1)
+    assert parse_config("family = path\nsizes = 8\njobs = 3\n").jobs == 3
+    seen = []
+    monkeypatch.setattr("dynvc.cli.run_sweep",
+                        lambda cfg: seen.append(cfg.jobs) or [])
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text("family = path\nsizes = 8\njobs = 3\n")
+    out = str(tmp_path / "sweep.csv")
+    assert run_cli("sweep", "--config", str(cfgfile), "--out", out) == 0
+    assert run_cli("sweep", "--config", str(cfgfile), "--out", out,
+                   "--jobs", "2") == 0
+    assert seen == [3, 2]
 
 
 def test_sweep_runs_config(tmp_path):

@@ -78,6 +78,26 @@ def test_family_by_n():
     assert make_instance_by_n("gnp", 10, seed=1).m == 45 // 2
 
 
+def test_family_by_n_is_make_instance_at_its_edge_count():
+    m_of_n = {"path": lambda n: n - 1, "star": lambda n: n - 1,
+              "cycle": lambda n: n,
+              "bipartite": lambda n: (n // 2) * (n - n // 2)}
+    for family, m_of in m_of_n.items():
+        for n in range(3, 30):
+            for wmax, seed in ((1, 0), (5, 3)):
+                assert (make_instance_by_n(family, n, wmax=wmax, seed=seed)
+                        == make_instance(family, m_of(n), wmax, seed))
+    for family in ("path", "star", "bipartite"):
+        assert make_instance_by_n(family, 1, wmax=5, seed=3) == Graph(1)
+
+
+def test_family_by_n_gnp_unweighted_edges_pinned():
+    g = make_instance_by_n("gnp", 10, m=13, seed=1)
+    assert g.edges() == [(1, 5), (1, 8), (2, 3), (2, 4), (2, 9), (3, 7),
+                         (3, 9), (4, 6), (4, 8), (4, 10), (6, 10), (7, 9),
+                         (7, 10)]
+
+
 # -- greedy starts and targets ---------------------------------------------------
 
 def test_greedy_matching_on_star_and_triangle(triangle):

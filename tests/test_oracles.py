@@ -21,20 +21,11 @@ def dual(*vals):
 
 
 def brute_min_vc(g):
-    """Independent oracle: scan all 2^n subsets, tie-break on the indicator
-    vector (prefer excluding low-index vertices)."""
-    best = None
-    for r in range(g.n + 1):
-        for comb in combinations(range(1, g.n + 1), r):
-            cover = set(comb)
-            if all(u in cover or v in cover for u, v in g.edges()):
-                weight = sum(g.vertex_weight(v) for v in cover)
-                indicator = tuple(int(v in cover) for v in range(1, g.n + 1))
-                key = (weight, indicator)
-                if best is None or key < best:
-                    best = key
-    weight, indicator = best
-    return weight, frozenset(v + 1 for v, x in enumerate(indicator) if x)
+    """Independent oracle: the minimum cover weight over all 2^n subsets."""
+    return min(sum(g.vertex_weight(v) for v in comb)
+               for r in range(g.n + 1)
+               for comb in combinations(range(1, g.n + 1), r)
+               if all(u in comb or v in comb for u, v in g.edges()))
 
 
 def all_feasible_duals(g):
@@ -75,7 +66,10 @@ def test_exact_min_vc_matches_brute_force():
     rng = np.random.default_rng(23)
     for _ in range(60):
         g = random_graph(rng, n_max=9, w_max=4)
-        assert exact_min_vc(g) == brute_min_vc(g)
+        weight, cover = exact_min_vc(g)
+        assert weight == brute_min_vc(g)
+        assert all(u in cover or v in cover for u, v in g.edges())
+        assert sum(g.vertex_weight(v) for v in cover) == weight
 
 
 def test_exact_min_vc_cover_is_minimal():
