@@ -2,14 +2,24 @@
 
 An engine owns its graph. It reads the graph's live endpoint and incidence
 lists, and edge changes go through its ``add_edge``/``remove_edge``, which
-update the graph and the engine state together in O(deg). A step that
-makes one move is decided in O(1) from the endpoints' degrees or loads, and
-only an accepted move walks their incidence lists; a step of k > 1 moves
-applies them and reverts them on rejection, in O(k deg). The pure step
-functions in :mod:`dynvc.classic` and :mod:`dynvc.weighted` and the array
-path of :func:`dynvc.dynamics.apply_change` define the semantics; the
-engines replicate them draw-for-draw and are differentially tested against
-them.
+update the graph and the engine state together in O(deg).
+
+Each engine keeps the index ``accepting`` of its accepting single moves:
+the moves that one step would make, and keep, if it drew that move alone.
+A classic move is an edge slot j (flip bit j); a dual move is 2j for +1 and
+2j + 1 for -1 on edge j. The index is repaired on the incidence walks that
+an accepted move or an edge change pays, in O(1) per touched edge, and
+supports O(1) membership and uniform sampling. So a one-move step is decided
+by one lookup, and a step of k >= 2 moves is decided in O(k) from the first
+fitness component (and, for a dual step that changes no vertex's covered
+status, from the total); only a tie there applies the moves and reverts
+them on rejection, in O(k deg). The run loop samples its events from the
+index and skips every step that cannot change the state.
+
+The pure step functions in :mod:`dynvc.classic` and :mod:`dynvc.weighted`
+and the array path of :func:`dynvc.dynamics.apply_change` define the
+semantics; :meth:`step` replicates them draw-for-draw and is differentially
+tested against them.
 """
 
 from __future__ import annotations
@@ -27,11 +37,79 @@ def _swap_pop(index: int, *lists: list) -> None:
         lst.pop()
 
 
-class _ClassicEngine:
-    """Selection state with O(touched) updates; semantics of fitness_classic."""
+class _Engine:
+    """The accepting-move index and the step that reads it; the subclasses
+    define the moves (``moves_at``, ``_refresh``, ``apply``, ``try_moves``)."""
 
-    __slots__ = ("g", "m", "eu", "ev", "inc", "bits", "deg", "covcnt",
-                 "pairs", "uncovered", "cover_size", "selected")
+    __slots__ = ("g", "m", "eu", "ev", "inc", "accepting", "where")
+    PER_EDGE = 1  # moves per edge slot
+
+    def _mark(self, move: int, flag: bool) -> None:
+        """Put ``move`` in the index or take it out, swapping the last entry in."""
+        where, accepting = self.where, self.accepting
+        p = where[move]
+        if flag:
+            if p < 0:
+                where[move] = len(accepting)
+                accepting.append(move)
+        elif p >= 0:
+            last = accepting.pop()
+            if last != move:
+                accepting[p] = last
+                where[last] = p
+            where[move] = -1
+
+    def _build_index(self) -> None:
+        self.accepting = []
+        self.where = [-1] * (self.PER_EDGE * self.m)
+        for j in range(self.m):
+            self._refresh(j)
+
+    def _drop_slot(self, index: int) -> None:
+        """Unindex slot ``index`` and rename the last slot's moves to it, as
+        the swap-remove of the graph renames that edge."""
+        per, where = self.PER_EDGE, self.where
+        for r in range(per):
+            self._mark(index * per + r, False)
+        last = len(where) - per
+        if index * per != last:
+            for r in range(per):
+                p = where[last + r]
+                where[index * per + r] = p
+                if p >= 0:
+                    self.accepting[p] = index * per + r
+        del where[last:]
+
+    def step(self, variant: str, rng: np.random.Generator) -> None:
+        """One step of the pure ``step_*``, with its draws: a single move is
+        kept iff it is indexed, and k >= 2 moves go to ``try_moves``."""
+        m = self.m
+        if m == 0:
+            return
+
+        def coin() -> int:
+            return int(rng.integers(2))
+
+        if variant == "rls":
+            moves = self.moves_at([int(rng.integers(m))], coin)
+        else:
+            moves = self.moves_at(_flip_positions(rng, m, 1.0 / m), coin)
+        if len(moves) > 1:
+            self.try_moves(moves)
+        elif moves and self.where[moves[0]] >= 0:
+            self.apply(moves[0])
+
+
+class _ClassicEngine(_Engine):
+    """Selection state with O(touched) updates; semantics of fitness_classic.
+
+    Flipping edge j = (u, v) alone, with d = deg[u] + deg[v], is accepted
+    iff selecting it keeps the pairs (d == 0; edge j then covers itself) or
+    deselecting it drops d - 2 > 0 pairs (at d == 2 it would uncover edge j).
+    """
+
+    __slots__ = ("bits", "deg", "covcnt", "pairs", "uncovered", "cover_size",
+                 "selected")
 
     def __init__(self, g: Graph, sol: np.ndarray):
         self.g = g
@@ -45,12 +123,26 @@ class _ClassicEngine:
         self.uncovered = g.m
         self.cover_size = 0
         self.selected = 0
+        self._build_index()
         for j in range(g.m):
             if sol[j]:
                 self._flip(j)
 
+    def moves_at(self, slots: list[int], coin) -> list[int]:
+        """The moves that hit ``slots``; a classic move draws no coin."""
+        return slots
+
+    def _refresh(self, e: int) -> None:
+        d = self.deg[self.eu[e]] + self.deg[self.ev[e]]
+        flag = d > 2 if self.bits[e] else d == 0
+        if flag != (self.where[e] >= 0):
+            self._mark(e, flag)
+
     def _flip(self, j: int) -> None:
-        deg, inc, covcnt = self.deg, self.inc, self.covcnt
+        # a move at edge e depends on deg at its endpoints only through
+        # "deg == 0" (unselected e) and "deg <= 1" (selected e), so the
+        # index changes only at endpoints whose degree crosses 0-1 or 1-2
+        deg, inc, covcnt, refresh = self.deg, self.inc, self.covcnt, self._refresh
         if self.bits[j]:
             self.bits[j] = 0
             self.selected -= 1
@@ -65,6 +157,10 @@ class _ClassicEngine:
                         covcnt[e] = c
                         if c == 0:
                             self.uncovered += 1
+                        refresh(e)
+                elif d == 1:
+                    for e in inc[x]:
+                        refresh(e)
         else:
             self.bits[j] = 1
             self.selected += 1
@@ -79,6 +175,39 @@ class _ClassicEngine:
                         covcnt[e] = c + 1
                         if c == 0:
                             self.uncovered -= 1
+                        refresh(e)
+                elif d == 1:
+                    for e in inc[x]:
+                        refresh(e)
+        refresh(j)
+
+    apply = _flip
+
+    def try_moves(self, moves: list[int]) -> None:
+        """Flip the distinct slots ``moves`` iff the fitness does not worsen."""
+        deg, eu, ev, bits = self.deg, self.eu, self.ev, self.bits
+        shift: dict[int, int] = {}
+        for j in moves:
+            s = -1 if bits[j] else 1
+            for x in (eu[j], ev[j]):
+                shift[x] = shift.get(x, 0) + s
+        # twice the rise in pairs: pairs is the sum of C(deg, 2) over vertices
+        rise = 0
+        for x, s in shift.items():
+            d = deg[x]
+            rise += (d + s) * (d + s - 1) - d * (d - 1)
+        if rise > 0:
+            return
+        if rise == 0:  # a tie on pairs: compare uncovered and cover size
+            cur = (self.uncovered, self.cover_size)
+            for j in moves:
+                self._flip(j)
+            if (self.uncovered, self.cover_size) > cur:
+                for j in moves:
+                    self._flip(j)
+            return
+        for j in moves:
+            self._flip(j)
 
     def add_edge(self, u: int, v: int) -> int:
         """Add edge {u, v} to the graph, unselected; return its slot."""
@@ -86,9 +215,11 @@ class _ClassicEngine:
         c = (self.deg[u] > 0) + (self.deg[v] > 0)
         self.bits.append(0)
         self.covcnt.append(c)
+        self.where.append(-1)
         self.m += 1
         if c == 0:
             self.uncovered += 1
+        self._refresh(j)
         return j
 
     def remove_edge(self, index: int) -> None:
@@ -101,6 +232,7 @@ class _ClassicEngine:
             self.uncovered -= 1
         self.g.remove_edge(index)
         _swap_pop(index, self.bits, self.covcnt)
+        self._drop_slot(index)
         self.m -= 1
 
     def fitness(self) -> tuple[int, int, int]:
@@ -112,41 +244,27 @@ class _ClassicEngine:
     def trace_sample(self) -> tuple[int, int]:
         return (self.uncovered, self.selected)
 
-    def step(self, variant: str, rng: np.random.Generator) -> None:
-        m = self.m
-        if m == 0:
-            return
-        if variant == "rls":
-            j = int(rng.integers(m))
-        else:
-            pos = _flip_positions(rng, m, 1.0 / m)
-            if len(pos) > 1:
-                cur = (self.pairs, self.uncovered, self.cover_size)
-                for j in pos:
-                    self._flip(j)
-                if (self.pairs, self.uncovered, self.cover_size) > cur:
-                    for j in reversed(pos):
-                        self._flip(j)
-                return
-            if not pos:
-                return  # mutant equals parent: tie accepted, state unchanged
-            j = pos[0]
-        # one flip, decided from its endpoints' degrees d: selecting keeps the
-        # pairs iff d == 0, and then edge j covers itself; deselecting drops
-        # d - 2 pairs, and at d == 2 it uncovers edge j
-        d = self.deg[self.eu[j]] + self.deg[self.ev[j]]
-        if d > 2 if self.bits[j] else d == 0:
-            self._flip(j)
-
     def solution(self) -> np.ndarray:
         return np.array(self.bits, dtype=np.uint8)
 
 
-class _DualEngine:
-    """Dual-weight state with O(touched) updates; semantics of fitness_weighted."""
+def _band(excess: int) -> int:
+    """Where a load stands against its weight, as far as any move can tell:
+    below (-1), tight (0), one over (1) or more (2)."""
+    return -1 if excess < 0 else min(excess, 2)
 
-    __slots__ = ("g", "m", "eu", "ev", "inc", "w", "s", "load", "covcnt",
-                 "violations", "uncovered", "total")
+
+class _DualEngine(_Engine):
+    """Dual-weight state with O(touched) updates; semantics of fitness_weighted.
+
+    A +1 on edge j = (u, v) alone is accepted iff neither endpoint is tight
+    (load == weight), since otherwise it makes a violation; a -1 is accepted
+    iff s[j] > 0 and an endpoint has load == weight + 1, since it then ends a
+    violation and otherwise lowers the total without lowering uncovered.
+    """
+
+    __slots__ = ("w", "s", "load", "covcnt", "violations", "uncovered", "total")
+    PER_EDGE = 2
 
     def __init__(self, g: Graph, sol: np.ndarray):
         self.g = g
@@ -167,39 +285,90 @@ class _DualEngine:
                        for j in range(g.m)]
         self.uncovered = sum(1 for c in self.covcnt if c == 0)
         self.total = sum(self.s)
+        self._build_index()
 
-    def _delta(self, j: int, d: int) -> bool:
-        """Add ``d`` to edge j's weight; False when that would go below zero."""
-        sj = self.s[j] + d
-        if sj < 0:
-            return False
-        self.s[j] = sj
+    def moves_at(self, slots: list[int], coin) -> list[int]:
+        """The moves that hit ``slots``, each with a fair ``coin()``: 0 means +1."""
+        return [2 * j + coin() for j in slots]
+
+    def _refresh(self, e: int) -> None:
+        load, w = self.load, self.w
+        u, v = self.eu[e], self.ev[e]
+        bu, bv = load[u] - w[u], load[v] - w[v]
+        where = self.where
+        flag = bu != 0 and bv != 0
+        if flag != (where[2 * e] >= 0):
+            self._mark(2 * e, flag)
+        flag = self.s[e] > 0 and (bu == 1 or bv == 1)
+        if flag != (where[2 * e + 1] >= 0):
+            self._mark(2 * e + 1, flag)
+
+    def _delta(self, j: int, d: int) -> None:
+        """Add ``d`` to edge j's weight; callers keep it at zero or above."""
+        self.s[j] += d
         self.total += d
-        load, w, inc, covcnt = self.load, self.w, self.inc, self.covcnt
+        load, w, inc, covcnt, refresh = self.load, self.w, self.inc, self.covcnt, self._refresh
         for x in (self.eu[j], self.ev[j]):
             old = load[x]
-            new = old + d
-            load[x] = new
-            wx = w[x]
-            if d > 0:
-                if old <= wx < new:
-                    self.violations += 1
-                if old < wx <= new:  # x becomes covered
-                    for e in inc[x]:
-                        c = covcnt[e]
-                        covcnt[e] = c + 1
-                        if c == 0:
-                            self.uncovered -= 1
-            else:
-                if new <= wx < old:
-                    self.violations -= 1
-                if new < wx <= old:  # x stops being covered
-                    for e in inc[x]:
-                        c = covcnt[e] - 1
-                        covcnt[e] = c
-                        if c == 0:
-                            self.uncovered += 1
-        return True
+            load[x] = old + d
+            before, after = _band(old - w[x]), _band(old + d - w[x])
+            if before == after:
+                continue  # no move at x, violation or cover changes
+            self.violations += (after > 0) - (before > 0)
+            cov = (after >= 0) - (before >= 0)  # +1: x becomes covered
+            for e in inc[x]:
+                if cov:
+                    c = covcnt[e]
+                    covcnt[e] = c + cov
+                    if c == 0:
+                        self.uncovered -= 1
+                    elif c + cov == 0:
+                        self.uncovered += 1
+                refresh(e)
+        refresh(j)
+
+    def apply(self, move: int) -> None:
+        self._delta(move >> 1, -1 if move & 1 else 1)
+
+    def _key(self) -> tuple[int, int, int]:
+        return (-self.violations, -self.uncovered, self.total)
+
+    def try_moves(self, moves: list[int]) -> None:
+        """Apply the moves of distinct edges iff the fitness strictly improves;
+        a -1 at weight 0 is clamped away."""
+        s, eu, ev, load, w = self.s, self.eu, self.ev, self.load, self.w
+        steps = []
+        shift: dict[int, int] = {}
+        for move in moves:
+            j, d = move >> 1, -1 if move & 1 else 1
+            if d < 0 and not s[j]:
+                continue
+            steps.append((j, d))
+            for x in (eu[j], ev[j]):
+                shift[x] = shift.get(x, 0) + d
+        if not steps:
+            return  # the mutant equals the parent, which is never strictly better
+        gain = 0  # fall in violations
+        cover_changes = False  # does some vertex change covered status?
+        for x, d in shift.items():
+            old = load[x] - w[x]
+            gain += (old > 0) - (old + d > 0)
+            cover_changes = cover_changes or (old >= 0) != (old + d >= 0)
+        if gain < 0:
+            return
+        if gain == 0:
+            if cover_changes:  # a tie on violations: compare uncovered, then total
+                cur = self._key()
+                for j, d in steps:
+                    self._delta(j, d)
+                if self._key() <= cur:
+                    for j, d in steps:
+                        self._delta(j, -d)
+                return
+            if sum(d for _, d in steps) <= 0:
+                return
+        for j, d in steps:
+            self._delta(j, d)
 
     def add_edge(self, u: int, v: int) -> int:
         """Add edge {u, v} to the graph with weight 0; return its slot."""
@@ -208,9 +377,11 @@ class _DualEngine:
         c = (load[u] >= w[u]) + (load[v] >= w[v])
         self.s.append(0)
         self.covcnt.append(c)
+        self.where += (-1, -1)
         self.m += 1
         if c == 0:
             self.uncovered += 1
+        self._refresh(j)
         return j
 
     def remove_edge(self, index: int) -> None:
@@ -223,49 +394,17 @@ class _DualEngine:
             self.uncovered -= 1
         self.g.remove_edge(index)
         _swap_pop(index, self.s, self.covcnt)
+        self._drop_slot(index)
         self.m -= 1
 
     def fitness(self) -> tuple[int, int, int]:
         return (self.violations, self.uncovered, self.total)
-
-    def _key(self) -> tuple[int, int, int]:
-        return (-self.violations, -self.uncovered, self.total)
 
     def at_target(self) -> bool:
         return self.violations == 0 and self.uncovered == 0
 
     def trace_sample(self) -> tuple[int, int]:
         return (self.uncovered, self.total)
-
-    def step(self, variant: str, rng: np.random.Generator) -> None:
-        m = self.m
-        if m == 0:
-            return
-        if variant == "rls":
-            j = int(rng.integers(m))
-        else:
-            pos = _flip_positions(rng, m, 1.0 / m)
-            if len(pos) > 1:
-                # one scalar coin per hit draws what rng.integers(0, 2, size=k) does
-                moves = [(j, 1 if rng.integers(2) == 0 else -1) for j in pos]
-                cur = self._key()
-                applied = [(j, d) for j, d in moves if self._delta(j, d)]
-                if applied and self._key() <= cur:
-                    for j, d in reversed(applied):
-                        self._delta(j, -d)
-                return
-            if not pos:
-                return  # identical mutant is never strictly better
-            j = pos[0]
-        # one move, decided from its endpoints' loads: +1 wins iff it makes no
-        # new violation; -1 wins iff it ends one, since otherwise the total
-        # falls and uncovered cannot; a clamped -1 changes nothing
-        u, v, load, w = self.eu[j], self.ev[j], self.load, self.w
-        if rng.integers(2) == 0:
-            if load[u] != w[u] and load[v] != w[v]:
-                self._delta(j, 1)
-        elif self.s[j] and (load[u] == w[u] + 1 or load[v] == w[v] + 1):
-            self._delta(j, -1)
 
     def solution(self) -> np.ndarray:
         return np.array(self.s, dtype=np.int64)

@@ -6,17 +6,24 @@ scaling exponents. Every run's randomness derives from (master_seed,
 run_index) through a fixed 64-bit mixing rule, so a sweep is a pure
 function of its configuration regardless of execution order or job count.
 
-The run loop drives one incremental engine per run (:mod:`dynvc.engine`):
-a one-move step is decided in O(1), only accepted moves walk incidence
-lists, and an edge change costs O(deg).
+The run loop drives one incremental engine per run (:mod:`dynvc.engine`)
+and is rejection-free: it jumps over the steps that cannot change the state
+instead of evaluating them, and decides the others from the engine's index
+of accepting moves. ``steps_to_target``, budgets, spans and traces still
+count every step of the simulated algorithm, and runs follow the same
+distribution as a per-step loop, but the random stream is not the one a
+per-step loop reads, so records differ from those of such a loop.
 """
 
 from __future__ import annotations
 
 import ast
+import bisect
 import functools
+import itertools
 import math
 import operator
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -261,14 +268,61 @@ def _instance(source: str | tuple[str, int, int, int]) -> Graph:
     return make_instance(*source)
 
 
+_NEVER = sys.maxsize  # a step no skip reaches
+
+
+def _skip(u: float, q: float) -> int:
+    """Geometric(q) count of trials to the first success, from a uniform
+    ``u`` in [0, 1) by the inverse transform; ``_NEVER`` when q is 0."""
+    if q >= 1.0:
+        return 1
+    if q <= 0.0:
+        return _NEVER
+    return int(math.log(1.0 - u) / math.log1p(-q)) + 1
+
+
+@functools.lru_cache(maxsize=128)
+def _hit_law(m: int) -> tuple[float, float, list[float]]:
+    """For k ~ Bin(m, 1/m), the EA's number of hits: P(k = 1), P(k >= 2) and
+    the cumulative law of k - 2 given k >= 2. The law is cut where its terms
+    fall below double precision (about 20 entries at any m) and its last
+    entry is 1."""
+    if m < 2:
+        return 1.0, 0.0, []
+    p1 = (1.0 - 1.0 / m) ** (m - 1)
+    terms = []
+    term, k = p1 / 2, 2  # P(k = 2)
+    while k <= m and term > 1e-18:
+        terms.append(term)
+        term *= (m - k) / ((k + 1) * (m - 1))
+        k += 1
+    total = sum(terms)
+    cum = [c / total for c in itertools.accumulate(terms)]
+    cum[-1] = 1.0
+    return p1, 1.0 - (1.0 - 1.0 / m) ** m - p1, cum
+
+
 def run_once(task: RunTask) -> RunRecord:
     """Execute one repetition; a pure function of the task.
 
-    The loop per step: fire the schedule's changes at the boundary (free),
-    check the target every ``stride`` evaluations, then mutate and evaluate
-    the mutant (one evaluation). The run stops at the first certified target
-    state after the schedule's last due step, or when the budget is
-    exhausted; budget exhaustion is recorded, not raised.
+    The simulated loop per step: fire the schedule's changes at the boundary
+    (free), check the target every ``stride`` evaluations, then mutate and
+    evaluate the mutant (one evaluation). The run stops at the first
+    certified target state after the schedule's last due step, or when the
+    budget is exhausted; budget exhaustion is recorded, not raised.
+
+    Most steps change nothing, so the loop jumps instead of stepping
+    (the n-fold way of Bortz, Kalos and Lebowitz): from each boundary it
+    draws the Geometric distance to the next step that can change the state
+    (one that hits k >= 2 moves, or one accepting move of the engine's
+    index), and the Geometric distance to the next change, and jumps to the
+    earliest of those, the next due step, the budget and, when at target,
+    the next stride multiple that checks it. The skipped steps are counted
+    in ``steps_to_target`` and the budget as the steps they stand for, and
+    trace rows for the skipped boundaries are written in bulk. This samples
+    the same Markov chain as a per-step loop over ``engine.step``, but not
+    from the same random stream. A reached target is re-certified by a full
+    evaluation of the final solution; a mismatch raises ``ValueError``.
     """
     g = _instance(task.source).copy()
     rng = spawn_rng(task.master_seed, task.run_index)
@@ -296,52 +350,99 @@ def run_once(task: RunTask) -> RunRecord:
         pending.append(at)
         return 1
 
+    block: list[float] = []
+
+    def uniform() -> float:
+        if not block:
+            block.extend(rng.random(256).tolist())
+        return block.pop()
+
+    def coin() -> bool:
+        return uniform() < 0.5
+
     schedule = task.schedule
     due, rate, last_step = schedule.due(), schedule.rate, schedule.last_step()
+    stride, budget, ea = task.stride, task.budget, task.algo == "ea"
     k = 0  # index of the next due step
-    next_due = due[0] if due else -1
-    evaluations = 0
+    next_due = due[0] if due else _NEVER
+    next_poll = _skip(uniform(), rate) - 1 if rate else _NEVER  # first poll hit
+    event = None  # the step at which the next search event ends
+    t = 0  # steps made, i.e. the current boundary
     target_time: int | None = None
     spans: list[int] = []
     n_changes = 0
     trace: list[tuple[int, int, int]] | None = [] if task.want_trace else None
     while True:
-        # change boundary (no evaluation cost); each change is applied as soon
-        # as it is drawn, so a poll hit after a due change draws from the
-        # changed graph; no poll is drawn at rate 0
-        if evaluations == next_due:
-            n_changes += fire(schedule.change(k, g, sample), evaluations)
+        # boundary t: a due change, then a poll hit, each applied as soon as
+        # it is drawn; then the target check at stride multiples
+        if t == next_due:
+            n_changes += fire(schedule.change(k, g, sample), t)
             k += 1
-            next_due = due[k] if k < len(due) else -1
-        if rate and rng.random() < rate:
-            n_changes += fire(sample(), evaluations)
-
-        if evaluations % task.stride == 0:
-            if trace is not None and (not trace or trace[-1][0] != evaluations):
-                unc, tw = engine.trace_sample()
-                trace.append((evaluations, unc, tw))
-            if engine.at_target():
-                spans.extend(evaluations - mark for mark in pending)
+            next_due = due[k] if k < len(due) else _NEVER
+            event = None
+        if t == next_poll:
+            n_changes += fire(sample(), t)
+            next_poll = t + _skip(uniform(), rate)
+            event = None
+        at_target = engine.at_target()
+        if t % stride == 0:
+            if trace is not None:
+                trace.append((t, *engine.trace_sample()))
+            if at_target:
+                spans.extend(t - mark for mark in pending)
                 pending.clear()
                 # stop at the first certified target once no change is due
-                if target_time is None and evaluations >= last_step:
-                    target_time = evaluations
+                if t >= last_step:
+                    target_time = t
                     break
-        if evaluations >= task.budget:
+        if t >= budget:
             break
-        engine.step(task.algo, rng)
-        evaluations += 1
+        if event is None:  # the state is new: draw the distance to its next event
+            m, a, n_moves = engine.m, len(engine.accepting), len(engine.where)
+            if m == 0:
+                q = 0.0
+            elif ea:
+                p1, p2, cum = _hit_law(m)
+                q = p2 + p1 * a / n_moves
+            else:
+                q = a / n_moves
+            event = t + _skip(uniform(), q)
+        stop = min(event, next_due, next_poll, budget)
+        if at_target:  # the next check that records a span or may stop
+            first = t + 1 if pending else max(t + 1, last_step)
+            stop = min(stop, -(-first // stride) * stride)
+        if trace is not None:  # the skipped boundaries all see this state
+            row = engine.trace_sample()
+            trace.extend((b, *row) for b in range(t - t % stride + stride, stop, stride))
+        if stop == event:
+            if ea and uniform() * q < p2:  # k >= 2 distinct uniform moves
+                hits = bisect.bisect_right(cum, uniform()) + 2
+                pos: list[int] = []
+                while len(pos) < hits:
+                    j = int(uniform() * m)
+                    if j not in pos:
+                        pos.append(j)
+                engine.try_moves(engine.moves_at(pos, coin))
+            else:  # one accepting move, uniform over the index
+                engine.apply(engine.accepting[int(uniform() * a)])
+            event = None
+        t = stop
 
     reached = target_time is not None
+    final = engine.solution() if reached or task.keep_final else None
+    # the engine's target is re-certified by a full evaluation, in one O(m) pass
+    if reached and not target_reached(final, g, task.problem):
+        raise ValueError(f"run {task.run_index}: the target reported at step "
+                         f"{target_time} does not certify")
     setting_name, param = schedule.label()
     return RunRecord(
         run_index=task.run_index, seed=task.master_seed, family=task.family,
         n=n0, m=m0, w_max=task.wmax, algo=task.algo, problem=task.problem,
         setting=setting_name, param=param,
-        steps_to_target=target_time if reached else evaluations,
+        steps_to_target=target_time if reached else t,
         target_reached=reached, budget=task.budget, trace=trace,
         reopt_spans=spans, n_changes=n_changes,
-        final_solution=engine.solution() if task.keep_final else None,
+        final_solution=final if task.keep_final else None,
         final_graph_text=g.to_text() if task.keep_final else None)
 
 

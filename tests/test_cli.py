@@ -252,6 +252,56 @@ def test_verify_weighted(tmp_path, capsys):
     assert run_cli("verify", "--graph", str(graph), "--solution", str(sol)) == 1
 
 
+def _report(capsys):
+    return dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("kind", ["classic", "weighted"])
+def test_verify_beyond_the_exact_oracle(tmp_path, capsys, kind):
+    # at n = 40 the exact oracle does not reach: the report rests on the
+    # certificates alone, a lower bound and the 2-approximation against it
+    graph = tmp_path / "g.graph"
+    sol = tmp_path / "s.sol"
+    wmax = "1" if kind == "classic" else "6"
+    assert run_cli("gen", "--family", "gnp", "--n", "40", "--m", "120", "--wmax", wmax,
+                   "--seed", "8", "--out", str(graph)) == 0
+    g = Graph.from_text(graph.read_text())
+    if kind == "classic":
+        good = greedy_maximal_matching(g)
+        sol.write_text(format_solution(good))
+        bound = int(good.sum())
+    else:
+        good = greedy_maximal_dual(g)
+        sol.write_text(format_dual(good))
+        bound = int(good.sum())
+    assert run_cli("verify", "--graph", str(graph), "--solution", str(sol)) == 0
+    report = _report(capsys)
+    assert report["lower-bound"] == str(bound)
+    assert report["2-approximation"] == "yes"
+    assert int(report["cover-weight"]) <= 2 * bound
+    assert not {"opt", "ratio", "weak-duality"} & set(report)
+    # a sound but not maximal solution: its lower bound stands, maximality fails
+    partial = good.copy()
+    partial[np.flatnonzero(partial)[0]] = 0
+    sol.write_text((format_solution if kind == "classic" else format_dual)(partial))
+    assert run_cli("verify", "--graph", str(graph), "--solution", str(sol)) == 3
+    report = _report(capsys)
+    assert report["lower-bound"] == str(int(partial.sum()))
+    assert "no" in (report["maximal-matching"], report["maximal-dual"])
+    # an unsound one: no lower bound, so no certified 2-approximation
+    bad = good.copy()
+    if kind == "classic":
+        bad[:] = 1
+        sol.write_text(format_solution(bad))
+    else:
+        bad += 100
+        sol.write_text(format_dual(bad))
+    assert run_cli("verify", "--graph", str(graph), "--solution", str(sol)) == 3
+    report = _report(capsys)
+    assert "lower-bound" not in report
+    assert report["2-approximation"] == "no"
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "g.graph"
     proc = subprocess.run(

@@ -14,7 +14,6 @@ from dynvc.dynamics import (DELETE_POSITIVE_POLICY, UNIFORM_POLICY,
                             parse_change_script, pd_threshold_classic,
                             pd_threshold_weighted_ea,
                             pd_threshold_weighted_rls)
-from dynvc.engine import _ClassicEngine, _make_engine
 from dynvc.oracles import dual_feasible, is_matching
 from dynvc.harness import (RunTask, greedy_maximal_dual,
                            greedy_maximal_matching, make_instance, run_once)
@@ -51,31 +50,28 @@ def test_apply_remove_bad_index(p3):
         apply_change(p3, np.zeros(2, dtype=np.uint8), RemoveEdge(5))
 
 
-def _schedule_task(schedule, budget, seed=1, size=8):
-    """A classic run from zeros whose target is checked only at step 0, so it
-    lasts its whole budget."""
+def _schedule_task(schedule, budget, seed=1):
+    """A classic run from zeros whose target is checked only at steps 0 and
+    ``budget``, so it lasts its whole budget. On the one-edge path it selects
+    the edge at step 1 and stays there, so it certifies at ``budget``."""
     return RunTask(run_index=0, master_seed=seed, problem="classic", algo="ea",
-                   family="path", wmax=1, source=("path", size, 1, 5),
+                   family="path", wmax=1, source=("path", 1, 1, 5),
                    schedule=schedule, policy=UNIFORM_POLICY, init="zeros",
-                   budget=budget, stride=budget + 1, want_trace=False)
+                   budget=budget, stride=budget, want_trace=False)
 
 
 def _firing_steps(monkeypatch, schedule, budget, seed=1):
     """The boundaries at which ``run_once`` draws a change under ``schedule``.
 
-    The stand-in sampler records the step and draws no change, so the graph
-    never changes."""
-    done, fired = [0], []
-    step = _ClassicEngine.step
-
-    def counted(self, variant, rng):
-        done[0] += 1
-        step(self, variant, rng)
-
-    monkeypatch.setattr(_ClassicEngine, "step", counted)
-    monkeypatch.setattr(harness, "sample_change", lambda *args: fired.append(done[0]))
-    run_once(_schedule_task(schedule, budget, seed))
-    return fired
+    The stand-in sampler always draws a change, and the stand-in applier
+    leaves it off the graph. Each change's span then ends at the
+    certified target at ``budget``, so the change fired at ``budget - span``."""
+    monkeypatch.setattr(harness, "sample_change", lambda *args: RemoveEdge(0))
+    monkeypatch.setattr(harness, "apply_change", lambda *args: None)
+    rec = run_once(_schedule_task(schedule, budget, seed))
+    assert rec.target_reached and rec.steps_to_target == budget
+    assert rec.n_changes == len(rec.reopt_spans)
+    return [budget - span for span in rec.reopt_spans]
 
 
 def test_schedule_firing_degenerate_rates(monkeypatch):
@@ -106,14 +102,17 @@ def test_step_zero_poll_hit_draws_from_the_changed_graph():
 
 
 def test_zero_rate_draws_no_poll():
-    # at rate 0 the run's stream feeds the search alone
-    task = _schedule_task(Probabilistic(0.0), 300, size=30)
-    g = make_instance("path", 30, 1, 5)
-    engine = _make_engine("classic", g, np.zeros(g.m, dtype=np.uint8))
-    rng = spawn_rng(task.master_seed, task.run_index)
-    for _ in range(300):
-        engine.step("ea", rng)
-    assert np.array_equal(run_once(task).final_solution, engine.solution())
+    # at rate 0 no poll is drawn, so the run's stream feeds the search alone:
+    # a Probabilistic(0.0) run equals a run whose schedule has no change at all
+    for problem in ("classic", "weighted"):
+        for seed in range(5):
+            task = replace(_schedule_task(Probabilistic(0.0), 300, seed=seed),
+                           problem=problem, family="gnp", source=("gnp", 30, 4, seed),
+                           stride=7, want_trace=True)
+            a, b = run_once(task), run_once(replace(task, schedule=Scripted(())))
+            assert (a.steps_to_target, a.target_reached, a.n_changes, a.trace) == \
+                (b.steps_to_target, b.target_reached, b.n_changes, b.trace)
+            assert np.array_equal(a.final_solution, b.final_solution)
 
 
 def test_probabilistic_rate_validated():

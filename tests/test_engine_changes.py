@@ -2,7 +2,9 @@
 
 After every operation each engine must agree with the from-scratch fitness
 of its own solution, and with the reference path run on a mirrored graph:
-the pure step functions and ``apply_change`` on solution arrays.
+the pure step functions and ``apply_change`` on solution arrays. Its index
+of accepting moves must hold exactly the single moves that change the state
+under the pure one-move step.
 """
 
 import numpy as np
@@ -16,6 +18,8 @@ from dynvc import (AddEdge, Graph, GraphError, RemoveEdge, apply_change,
                    fitness_classic, fitness_weighted, step_classic,
                    step_weighted, target_reached)
 from dynvc.engine import _ClassicEngine, _DualEngine
+
+from conftest import ForcedRng
 
 N = 7
 PAIRS = [(u, v) for u in range(1, N + 1) for v in range(u + 1, N + 1)]
@@ -94,6 +98,22 @@ class _EngineMachine(RuleBasedStateMachine):
         assert self.engine.fitness() == tuple(self._fitness(sol, self.g))
         assert self.engine.at_target() == target_reached(sol, self.g, self.problem)
         assert self.engine.m == self.g.m
+
+    @invariant()
+    def index_holds_the_accepting_moves(self):
+        step = step_classic if self.problem == "classic" else step_weighted
+        coins = [[]] if self.problem == "classic" else [[0], [1]]
+        want = set()
+        for j in range(self.g.m):
+            for coin in coins:
+                after = step(self.sol, self.mirror, "rls", ForcedRng(integers=[j] + coin))
+                if not np.array_equal(after, self.sol):
+                    want.add(j * len(coins) + sum(coin))
+        accepting, where = self.engine.accepting, self.engine.where
+        assert sorted(accepting) == sorted(want)
+        assert len(where) == len(coins) * self.g.m
+        assert all(where[mv] == p for p, mv in enumerate(accepting))
+        assert sum(p >= 0 for p in where) == len(accepting)
 
 
 class ClassicEngineMachine(_EngineMachine):

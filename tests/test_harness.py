@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from dynvc.harness import (RunTask, _chunksize, _instance,
 from dynvc.oracles import (dual_maximal, exact_min_vc, is_2_approx,
                            is_maximal_matching)
 from dynvc.classic import cover_set
+from dynvc.cli import main as cli_main
 from dynvc.dynamics import DELETE_POSITIVE_POLICY, UNIFORM_POLICY
 from dynvc.weighted import induced_cover
 
@@ -191,6 +193,38 @@ def test_engine_one_move_steps_match_pure_steps(problem):
                     assert np.array_equal(engine.solution(), want)
 
 
+@pytest.mark.parametrize("problem", ["classic", "weighted"])
+def test_engine_multi_move_steps_match_pure_steps(problem):
+    # every 2-slot and 3-slot EA move set, with every coin pattern for the
+    # dual, from states with adjacent selected edges, overloaded vertices and
+    # zero dual entries: the O(k) decision must keep exactly what the pure
+    # step keeps, ties included
+    rng = np.random.default_rng(67)
+    for _ in range(12):
+        g = random_graph(rng, n_max=5, w_max=3 if problem == "weighted" else 1)
+        if problem == "classic":
+            sol = (rng.random(g.m) < 0.4).astype(np.uint8)
+            make, fitness, step = _ClassicEngine, fitness_classic, step_classic
+        else:
+            sol = rng.integers(0, 3, size=g.m).astype(np.int64)
+            make, fitness, step = _DualEngine, fitness_weighted, step_weighted
+        engine = make(g, sol)
+        for k in (2, 3):
+            for slots in itertools.combinations(range(g.m), k):
+                patterns = ([[]] if problem == "classic"
+                            else itertools.product((0, 1), repeat=k))
+                for coins in patterns:
+                    draws = ForcedRng(geometric=flip_mask_draws(slots, g.m), integers=coins)
+                    engine.step("ea", draws)
+                    want = step(sol, g, "ea", ForcedRng(
+                        geometric=flip_mask_draws(slots, g.m), integers=coins))
+                    assert not (draws._geo or draws._int)
+                    assert engine.fitness() == tuple(fitness(want, g))
+                    assert np.array_equal(engine.solution(), want)
+                    if not np.array_equal(want, sol):
+                        engine = make(g, sol)
+
+
 def test_engine_target_agrees_with_predicate():
     rng = np.random.default_rng(53)
     for _ in range(50):
@@ -237,6 +271,20 @@ def test_run_once_is_deterministic():
     assert a.n_changes == b.n_changes
     assert np.array_equal(a.final_solution, b.final_solution)
     assert a.final_graph_text == b.final_graph_text
+
+
+def test_run_once_recertifies_a_reported_target(monkeypatch, tmp_path):
+    # an engine that reports its target without reaching it must not give a
+    # reached row: the run raises, its record is an error, and a sweep exits 4
+    monkeypatch.setattr(_ClassicEngine, "at_target", lambda self: True)
+    task = base_task(keep_final=False)
+    with pytest.raises(ValueError, match="does not certify"):
+        run_once(task)
+    rec = _run_task_safe(task)
+    assert rec.error and not rec.target_reached
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("family = path\nsizes = 8\njobs = 1\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 4
 
 
 def test_run_once_budget_exhaustion_recorded():

@@ -14,14 +14,14 @@ from dynvc import ExperimentConfig, run_sweep, spawn_rng
 from dynvc.harness import records_to_csv, traces_to_csv
 
 PINNED = {
-    ("classic", "ea", "onetime"): "165756ab5ee95e11",
-    ("classic", "ea", "prob"): "caee5b256469c287",
-    ("classic", "rls", "onetime"): "121cacb96fa535dd",
-    ("classic", "rls", "prob"): "06adc753732aba2b",
-    ("weighted", "ea", "onetime"): "83823f8242acfd62",
-    ("weighted", "ea", "prob"): "5374bf9c8394051e",
-    ("weighted", "rls", "onetime"): "34decef56d37ba43",
-    ("weighted", "rls", "prob"): "125a3d5ca1fc7cb2",
+    ("classic", "ea", "onetime"): "c1de80072f749e46",
+    ("classic", "ea", "prob"): "3aa51a0ff7c5e9e0",
+    ("classic", "rls", "onetime"): "ead91daf532907a2",
+    ("classic", "rls", "prob"): "3bd297eebf9d4050",
+    ("weighted", "ea", "onetime"): "cef2196115c972f3",
+    ("weighted", "ea", "prob"): "683230e18fe8daaa",
+    ("weighted", "rls", "onetime"): "dd8105316c3e60fa",
+    ("weighted", "rls", "prob"): "3a98f8e9ef18ce17",
 }
 
 
