@@ -658,11 +658,21 @@ def _chunksize(n_tasks: int, jobs: int) -> int:
     return max(1, min(8, n_tasks // jobs))
 
 
+def _task_size(task: RunTask) -> int:
+    """The sweep size of a generated instance; 0 for a file graph, which every
+    task of its sweep shares."""
+    return 0 if isinstance(task.source, str) else task.source[1]
+
+
 def run_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     """Run every repetition; the result is ordered by run_index and is a pure
     function of the config (job count only changes wall time)."""
     tasks = build_tasks(cfg)
     if cfg.jobs > 1 and len(tasks) > 1:
+        # Largest instances first, so the pool ends on short batches that the
+        # workers share out instead of one worker running the last big batch
+        # alone; a stable sort keeps each size's repetitions back to back.
+        tasks.sort(key=_task_size, reverse=True)
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             records = list(pool.map(_run_task_safe, tasks,
                                     chunksize=_chunksize(len(tasks), cfg.jobs)))

@@ -8,7 +8,7 @@ from dynvc import (ExperimentConfig, Graph, OneTime, Probabilistic, Scripted,
                    fitness_classic, fitness_weighted, run_once, run_sweep,
                    spawn_rng, step_classic, step_weighted, target_reached)
 from dynvc.engine import _ClassicEngine, _DualEngine
-from dynvc.harness import (RunTask, _chunksize, _instance,
+from dynvc.harness import (RunTask, _chunksize, _instance, _task_size,
                            _run_task_safe, build_tasks, child_seed,
                            budget_names, default_budget_expr, eval_budget,
                            fit_scaling, greedy_maximal_dual,
@@ -469,6 +469,33 @@ def test_chunksize_reaches_every_worker():
             assert 1 <= size <= 8
             # enough batches that no worker sits idle while another has two
             assert -(-n_tasks // size) >= min(jobs, n_tasks)
+
+
+def test_pool_dispatch_starts_with_the_largest_instances(monkeypatch):
+    sent = []
+
+    class InlinePool:  # records what run_sweep hands the pool, runs it inline
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            sent.extend(tasks)
+            return map(fn, tasks)
+
+    cfg = ExperimentConfig(family="gnp", sizes=(6, 20, 10), reps=3, seed=5)
+    serial = records_to_csv(run_sweep(cfg))
+    cfg.jobs = 2
+    monkeypatch.setattr("dynvc.harness.ProcessPoolExecutor", InlinePool)
+    assert records_to_csv(run_sweep(cfg)) == serial
+    assert [_task_size(t) for t in sent] == [20] * 3 + [10] * 3 + [6] * 3
+    # each size's repetitions stay in run order, back to back
+    assert [t.run_index for t in sent] == [3, 4, 5, 6, 7, 8, 0, 1, 2]
 
 
 def test_csv_headers_and_shape():
