@@ -2,19 +2,30 @@
 
 An engine owns its graph. It reads the graph's live endpoint and incidence
 lists, and edge changes go through its ``add_edge``/``remove_edge``, which
-update the graph and the engine state together in O(deg).
+update the graph and the engine state together in O(deg). The constructor
+builds the state and both indexes below in one pass over the edges.
 
-Each engine keeps the index ``accepting`` of its accepting single moves:
-the moves that one step would make, and keep, if it drew that move alone.
-A classic move is an edge slot j (flip bit j); a dual move is 2j for +1 and
-2j + 1 for -1 on edge j. The index is repaired on the incidence walks that
-an accepted move or an edge change pays, in O(1) per touched edge, and
-supports O(1) membership and uniform sampling. So a one-move step is decided
-by one lookup, and a step of k >= 2 moves is decided in O(k) from the first
-fitness component (and, for a dual step that changes no vertex's covered
-status, from the total); only a tie there applies the moves and reverts
-them on rejection, in O(k deg). The run loop samples its events from the
-index and skips every step that cannot change the state.
+The index ``accepting`` holds the accepting single moves: the moves that one
+step would make, and keep, if it drew that move alone. A classic move is an
+edge slot j (flip bit j); a dual move is 2j for +1 and 2j + 1 for -1 on edge
+j. The index ``free`` holds the slots F: classic, the selected slots and the
+unselected ones whose endpoints both have degree 0; dual, the slots with
+s[j] > 0 and those whose +1 is accepting (no tight endpoint). Both are
+repaired on the incidence walks that an accepted move or an edge change
+pays, in O(1) per touched edge, with O(1) membership and uniform sampling.
+A one-move step is decided by one lookup, and a step of k >= 2 moves in O(k)
+from the first fitness component (and, for a dual step that changes no
+vertex's covered status, from the total); only a tie there applies the
+moves and reverts them on rejection, in O(k deg).
+
+Lemma: a step whose hits all miss F leaves the state as it is. Classic: each
+hit selects an edge with an endpoint of degree d >= 1; the pairs rise by
+S(2d + S - 1)/2 at each vertex hit S times, which is >= 0 everywhere and
+> 0 there, so the mutant is worse. Dual: each -1 meets s[j] == 0 and is
+clamped away, and each +1 has a tight endpoint that the +1s push over its
+weight while no load falls, so the mutant equals its parent or has more
+violations. Every accepting single move lies in F. The run loop samples its
+events from the two indexes and skips the steps that cannot change the state.
 
 The pure step functions in :mod:`dynvc.classic` and :mod:`dynvc.weighted`
 and the array path of :func:`dynvc.dynamics.apply_change` define the
@@ -37,48 +48,58 @@ def _swap_pop(index: int, *lists: list) -> None:
         lst.pop()
 
 
-class _Engine:
-    """The accepting-move index and the step that reads it; the subclasses
-    define the moves (``moves_at``, ``_refresh``, ``apply``, ``try_moves``)."""
+def _mark(items: list[int], where: list[int], item: int, flag: bool) -> None:
+    """Put ``item`` in the index ``items`` (positions ``where``) or take it
+    out, swapping the last entry in."""
+    p = where[item]
+    if flag:
+        if p < 0:
+            where[item] = len(items)
+            items.append(item)
+    elif p >= 0:
+        last = items.pop()
+        if last != item:
+            items[p] = last
+            where[last] = p
+        where[item] = -1
 
-    __slots__ = ("g", "m", "eu", "ev", "inc", "accepting", "where")
+
+def _index(flags: list[bool]) -> tuple[list[int], list[int]]:
+    """The index of the entries whose flag is set, in ascending order, and
+    its position list."""
+    items = [i for i, flag in enumerate(flags) if flag]
+    where = [-1] * len(flags)
+    for p, i in enumerate(items):
+        where[i] = p
+    return items, where
+
+
+def _drop(items: list[int], where: list[int], per: int, index: int) -> None:
+    """Unindex the ``per`` entries of slot ``index`` and rename the last
+    slot's entries to it, as the swap-remove of the graph renames that edge."""
+    for r in range(per):
+        _mark(items, where, index * per + r, False)
+    last = len(where) - per
+    if index * per != last:
+        for r in range(per):
+            p = where[last + r]
+            where[index * per + r] = p
+            if p >= 0:
+                items[p] = index * per + r
+    del where[last:]
+
+
+class _Engine:
+    """The accepting-move and free-slot indexes and the step that reads
+    them; the subclasses define the moves (``moves_at``, ``_refresh``,
+    ``apply``, ``try_moves``)."""
+
+    __slots__ = ("g", "m", "eu", "ev", "inc", "accepting", "where", "free", "fwhere")
     PER_EDGE = 1  # moves per edge slot
 
-    def _mark(self, move: int, flag: bool) -> None:
-        """Put ``move`` in the index or take it out, swapping the last entry in."""
-        where, accepting = self.where, self.accepting
-        p = where[move]
-        if flag:
-            if p < 0:
-                where[move] = len(accepting)
-                accepting.append(move)
-        elif p >= 0:
-            last = accepting.pop()
-            if last != move:
-                accepting[p] = last
-                where[last] = p
-            where[move] = -1
-
-    def _build_index(self) -> None:
-        self.accepting = []
-        self.where = [-1] * (self.PER_EDGE * self.m)
-        for j in range(self.m):
-            self._refresh(j)
-
     def _drop_slot(self, index: int) -> None:
-        """Unindex slot ``index`` and rename the last slot's moves to it, as
-        the swap-remove of the graph renames that edge."""
-        per, where = self.PER_EDGE, self.where
-        for r in range(per):
-            self._mark(index * per + r, False)
-        last = len(where) - per
-        if index * per != last:
-            for r in range(per):
-                p = where[last + r]
-                where[index * per + r] = p
-                if p >= 0:
-                    self.accepting[p] = index * per + r
-        del where[last:]
+        _drop(self.accepting, self.where, self.PER_EDGE, index)
+        _drop(self.free, self.fwhere, 1, index)
 
     def step(self, variant: str, rng: np.random.Generator) -> None:
         """One step of the pure ``step_*``, with its draws: a single move is
@@ -114,19 +135,23 @@ class _ClassicEngine(_Engine):
     def __init__(self, g: Graph, sol: np.ndarray):
         self.g = g
         self.m = g.m
-        self.eu, self.ev = g.endpoint_lists()
+        self.eu, self.ev = eu, ev = g.endpoint_lists()
         self.inc = g.incidence_lists()
-        self.bits = [0] * g.m
-        self.deg = [0] * (g.n + 1)
-        self.covcnt = [0] * g.m
-        self.pairs = 0
-        self.uncovered = g.m
-        self.cover_size = 0
-        self.selected = 0
-        self._build_index()
-        for j in range(g.m):
-            if sol[j]:
-                self._flip(j)
+        self.bits = bits = sol.tolist()
+        self.deg = deg = [0] * (g.n + 1)
+        for u, v, b in zip(eu, ev, bits):
+            if b:
+                deg[u] += 1
+                deg[v] += 1
+        self.covcnt = [(deg[u] > 0) + (deg[v] > 0) for u, v in zip(eu, ev)]
+        self.pairs = sum(d * (d - 1) // 2 for d in deg)
+        self.uncovered = self.covcnt.count(0)
+        self.cover_size = g.n + 1 - deg.count(0)
+        self.selected = sum(bits)
+        ds = [deg[u] + deg[v] for u, v in zip(eu, ev)]
+        self.accepting, self.where = _index([d > 2 if b else d == 0
+                                             for d, b in zip(ds, bits)])
+        self.free, self.fwhere = _index([b or d == 0 for d, b in zip(ds, bits)])
 
     def moves_at(self, slots: list[int], coin) -> list[int]:
         """The moves that hit ``slots``; a classic move draws no coin."""
@@ -134,14 +159,19 @@ class _ClassicEngine(_Engine):
 
     def _refresh(self, e: int) -> None:
         d = self.deg[self.eu[e]] + self.deg[self.ev[e]]
-        flag = d > 2 if self.bits[e] else d == 0
+        bit = self.bits[e]
+        flag = d > 2 if bit else d == 0
         if flag != (self.where[e] >= 0):
-            self._mark(e, flag)
+            _mark(self.accepting, self.where, e, flag)
+        flag = bit or d == 0
+        if flag != (self.fwhere[e] >= 0):
+            _mark(self.free, self.fwhere, e, flag)
 
     def _flip(self, j: int) -> None:
         # a move at edge e depends on deg at its endpoints only through
-        # "deg == 0" (unselected e) and "deg <= 1" (selected e), so the
-        # index changes only at endpoints whose degree crosses 0-1 or 1-2
+        # "deg == 0" (unselected e) and "deg <= 1" (selected e), and F
+        # through "deg == 0", so the indexes change only at endpoints whose
+        # degree crosses 0-1 or 1-2
         deg, inc, covcnt, refresh = self.deg, self.inc, self.covcnt, self._refresh
         if self.bits[j]:
             self.bits[j] = 0
@@ -216,6 +246,7 @@ class _ClassicEngine(_Engine):
         self.bits.append(0)
         self.covcnt.append(c)
         self.where.append(-1)
+        self.fwhere.append(-1)
         self.m += 1
         if c == 0:
             self.uncovered += 1
@@ -269,23 +300,23 @@ class _DualEngine(_Engine):
     def __init__(self, g: Graph, sol: np.ndarray):
         self.g = g
         self.m = g.m
-        self.eu, self.ev = g.endpoint_lists()
+        self.eu, self.ev = eu, ev = g.endpoint_lists()
         self.inc = g.incidence_lists()
-        self.w = [int(x) for x in g.weights]
-        self.s = [int(x) for x in sol]
-        load = [0] * (g.n + 1)
-        for j in range(g.m):
-            load[self.eu[j]] += self.s[j]
-            load[self.ev[j]] += self.s[j]
-        self.load = load
-        self.violations = sum(1 for v in range(1, g.n + 1) if load[v] > self.w[v])
-        covered = [load[v] >= self.w[v] for v in range(g.n + 1)]
-        covered[0] = False
-        self.covcnt = [int(covered[self.eu[j]]) + int(covered[self.ev[j]])
-                       for j in range(g.m)]
-        self.uncovered = sum(1 for c in self.covcnt if c == 0)
-        self.total = sum(self.s)
-        self._build_index()
+        self.w = w = g.weights.tolist()
+        self.s = s = sol.tolist()
+        self.load = load = [0] * (g.n + 1)
+        for u, v, x in zip(eu, ev, s):
+            load[u] += x
+            load[v] += x
+        ex = [a - b for a, b in zip(load, w)]  # vertex 0 has weight 0, no edge
+        self.violations = sum(x > 0 for x in ex)
+        self.covcnt = [(ex[u] >= 0) + (ex[v] >= 0) for u, v in zip(eu, ev)]
+        self.uncovered = self.covcnt.count(0)
+        self.total = sum(s)
+        up = [ex[u] != 0 and ex[v] != 0 for u, v in zip(eu, ev)]
+        down = [x > 0 and (ex[u] == 1 or ex[v] == 1) for u, v, x in zip(eu, ev, s)]
+        self.accepting, self.where = _index([f for pair in zip(up, down) for f in pair])
+        self.free, self.fwhere = _index([x > 0 or a for x, a in zip(s, up)])
 
     def moves_at(self, slots: list[int], coin) -> list[int]:
         """The moves that hit ``slots``, each with a fair ``coin()``: 0 means +1."""
@@ -295,13 +326,16 @@ class _DualEngine(_Engine):
         load, w = self.load, self.w
         u, v = self.eu[e], self.ev[e]
         bu, bv = load[u] - w[u], load[v] - w[v]
-        where = self.where
-        flag = bu != 0 and bv != 0
-        if flag != (where[2 * e] >= 0):
-            self._mark(2 * e, flag)
-        flag = self.s[e] > 0 and (bu == 1 or bv == 1)
+        accepting, where, positive = self.accepting, self.where, self.s[e] > 0
+        up = bu != 0 and bv != 0
+        if up != (where[2 * e] >= 0):
+            _mark(accepting, where, 2 * e, up)
+        flag = positive and (bu == 1 or bv == 1)
         if flag != (where[2 * e + 1] >= 0):
-            self._mark(2 * e + 1, flag)
+            _mark(accepting, where, 2 * e + 1, flag)
+        flag = positive or up
+        if flag != (self.fwhere[e] >= 0):
+            _mark(self.free, self.fwhere, e, flag)
 
     def _delta(self, j: int, d: int) -> None:
         """Add ``d`` to edge j's weight; callers keep it at zero or above."""
@@ -378,6 +412,7 @@ class _DualEngine(_Engine):
         self.s.append(0)
         self.covcnt.append(c)
         self.where += (-1, -1)
+        self.fwhere.append(-1)
         self.m += 1
         if c == 0:
             self.uncovered += 1

@@ -8,8 +8,8 @@ function of its configuration regardless of execution order or job count.
 
 The run loop drives one incremental engine per run (:mod:`dynvc.engine`)
 and is rejection-free: it jumps over the steps that cannot change the state
-instead of evaluating them, and decides the others from the engine's index
-of accepting moves. ``steps_to_target``, budgets, spans and traces still
+instead of evaluating them, and decides the others from the engine's
+indexes of accepting moves and free slots. ``steps_to_target``, budgets, spans and traces still
 count every step of the simulated algorithm, and runs follow the same
 distribution as a per-step loop, but the random stream is not the one a
 per-step loop reads, so records differ from those of such a loop.
@@ -18,9 +18,7 @@ per-step loop reads, so records differ from those of such a loop.
 from __future__ import annotations
 
 import ast
-import bisect
 import functools
-import itertools
 import math
 import operator
 import sys
@@ -38,7 +36,7 @@ from .dynamics import (DELETE_POSITIVE_POLICY, UNIFORM_POLICY, ChangePolicy,
 # perfbench/tracing.py times the engines' methods through these harness names
 from .engine import _ClassicEngine, _DualEngine, _make_engine  # noqa: F401
 from .graph import Graph, GraphError
-from .weighted import fitness_weighted
+from .weighted import fitness_weighted, induced_cover
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -282,24 +280,27 @@ def _skip(u: float, q: float) -> int:
 
 
 @functools.lru_cache(maxsize=128)
-def _hit_law(m: int) -> tuple[float, float, list[float]]:
-    """For k ~ Bin(m, 1/m), the EA's number of hits: P(k = 1), P(k >= 2) and
-    the cumulative law of k - 2 given k >= 2. The law is cut where its terms
-    fall below double precision (about 20 entries at any m) and its last
-    entry is 1."""
-    if m < 2:
-        return 1.0, 0.0, []
-    p1 = (1.0 - 1.0 / m) ** (m - 1)
-    terms = []
-    term, k = p1 / 2, 2  # P(k = 2)
-    while k <= m and term > 1e-18:
-        terms.append(term)
-        term *= (m - k) / ((k + 1) * (m - 1))
+def _hit_law(m: int) -> tuple[float, float]:
+    """For the EA's hits k ~ Bin(m, 1/m), m >= 2: P(k = 1) and log(1 - 1/m),
+    the log of the chance that a given slot is missed."""
+    miss = math.log1p(-1.0 / m)
+    return math.exp((m - 1) * miss), miss
+
+
+def _hit_count(n: int, m: int, miss: float, u: float, least: int) -> int:
+    """The hits among ``n`` slots, k ~ Bin(n, 1/m) given k >= ``least``
+    (0 or 1), by the inverse transform of the uniform ``u``."""
+    p0 = math.exp(n * miss)
+    if least:
+        u *= -math.expm1(n * miss)
+        k, term = 1, p0 * n / (m - 1)
+    else:
+        k, term = 0, p0
+    while u >= term and k < n:
+        u -= term
+        term *= (n - k) / ((k + 1) * (m - 1))
         k += 1
-    total = sum(terms)
-    cum = [c / total for c in itertools.accumulate(terms)]
-    cum[-1] = 1.0
-    return p1, 1.0 - (1.0 - 1.0 / m) ** m - p1, cum
+    return k
 
 
 def run_once(task: RunTask) -> RunRecord:
@@ -313,16 +314,27 @@ def run_once(task: RunTask) -> RunRecord:
 
     Most steps change nothing, so the loop jumps instead of stepping
     (the n-fold way of Bortz, Kalos and Lebowitz): from each boundary it
-    draws the Geometric distance to the next step that can change the state
-    (one that hits k >= 2 moves, or one accepting move of the engine's
-    index), and the Geometric distance to the next change, and jumps to the
+    draws the Geometric distance to the next step that can change the state,
+    and the Geometric distance to the next change, and jumps to the
     earliest of those, the next due step, the budget and, when at target,
-    the next stride multiple that checks it. The skipped steps are counted
-    in ``steps_to_target`` and the budget as the steps they stand for, and
+    the next stride multiple that checks it. The steps that can change the
+    state are thinned from a superset whose rate is known (Lewis and
+    Shedler): for RLS, one accepting move of the engine's index, at rate
+    a/M (a accepting moves out of M); for the EA, also a step of k >= 2
+    hits of which at least one falls in the engine's free slots F, at rate
+    P(k = 1) a/M + P(k >= 2, k_F >= 1) = P(k = 1) a/M + 1 - (1 - 1/m)^f
+    - (f/m)(1 - 1/m)^(m-1) for |F| = f, since a step that misses F cannot
+    change the state (the lemma in :mod:`dynvc.engine`). Such an event
+    draws k_F ~ Bin(f, 1/m) given k_F >= 1 and k_R ~ Bin(m - f, 1/m),
+    again until k_F + k_R >= 2, then distinct uniform slots of F and of the
+    rest, and ``try_moves`` decides it. The skipped steps are counted in
+    ``steps_to_target`` and the budget as the steps they stand for, and
     trace rows for the skipped boundaries are written in bulk. This samples
     the same Markov chain as a per-step loop over ``engine.step``, but not
-    from the same random stream. A reached target is re-certified by a full
-    evaluation of the final solution; a mismatch raises ``ValueError``.
+    from the same random stream; the EA's stream changed when it began to
+    thin multi-hit steps by F, and the RLS stream did not. A reached target
+    is re-certified by a full evaluation of the final solution; a mismatch
+    raises ``ValueError``.
     """
     g = _instance(task.source).copy()
     rng = spawn_rng(task.master_seed, task.run_index)
@@ -399,13 +411,14 @@ def run_once(task: RunTask) -> RunRecord:
             break
         if event is None:  # the state is new: draw the distance to its next event
             m, a, n_moves = engine.m, len(engine.accepting), len(engine.where)
-            if m == 0:
-                q = 0.0
-            elif ea:
-                p1, p2, cum = _hit_law(m)
+            if ea and m > 1:  # P(k = 1) a / M + P(k >= 2 and a hit in F)
+                p1, miss = _hit_law(m)
+                f = len(engine.free)
+                p2 = -math.expm1(f * miss) - f / m * p1
                 q = p2 + p1 * a / n_moves
-            else:
-                q = a / n_moves
+            else:  # RLS, or an EA step on one slot, which hits it alone
+                p2 = 0.0
+                q = a / n_moves if m else 0.0
             event = t + _skip(uniform(), q)
         stop = min(event, next_due, next_poll, budget)
         if at_target:  # the next check that records a span or may stop
@@ -415,12 +428,21 @@ def run_once(task: RunTask) -> RunRecord:
             row = engine.trace_sample()
             trace.extend((b, *row) for b in range(t - t % stride + stride, stop, stride))
         if stop == event:
-            if ea and uniform() * q < p2:  # k >= 2 distinct uniform moves
-                hits = bisect.bisect_right(cum, uniform()) + 2
-                pos: list[int] = []
-                while len(pos) < hits:
-                    j = int(uniform() * m)
+            if p2 and uniform() * q < p2:
+                # k >= 2 hits, k_F >= 1 of them in F: distinct uniform slots
+                # of F and of the rest
+                kf = kr = 0
+                while kf + kr < 2:
+                    kf = _hit_count(f, m, miss, uniform(), 1)
+                    kr = _hit_count(m - f, m, miss, uniform(), 0)
+                free, fwhere, pos = engine.free, engine.fwhere, []
+                while len(pos) < kf:
+                    j = free[int(uniform() * f)]
                     if j not in pos:
+                        pos.append(j)
+                while len(pos) < kf + kr:
+                    j = int(uniform() * m)
+                    if fwhere[j] < 0 and j not in pos:
                         pos.append(j)
                 engine.try_moves(engine.moves_at(pos, coin))
             else:  # one accepting move, uniform over the index
@@ -577,7 +599,7 @@ class ExperimentConfig:
 
 def build_tasks(cfg: ExperimentConfig) -> list[RunTask]:
     """Expand a config into one task per (sweep point, repetition)."""
-    from .oracles import exact_min_vc  # deferred: only sweeps that need OPT pay for it
+    from .oracles import VC_MAX_N, exact_min_vc  # deferred: only sweeps that need OPT pay for it
 
     cfg.validate()
     script = ()
@@ -602,7 +624,11 @@ def build_tasks(cfg: ExperimentConfig) -> list[RunTask]:
         wmax = cfg.wmax if graph_text is None else max(g.w_max, 1)
         opt = None
         if "opt" in needed or cfg.pd == "auto_thm9":
-            opt = exact_min_vc(g)[0]
+            # beyond the exact oracle, the weight of the cover a greedy
+            # maximal dual induces: OPT <= it <= 2 OPT, so a budget only
+            # grows and auto_thm9's rate only falls
+            opt = (exact_min_vc(g)[0] if g.n <= VC_MAX_N else
+                   sum(g.vertex_weight(v) for v in induced_cover(greedy_maximal_dual(g), g)))
         if script:
             schedule: Schedule = Scripted(script)
         elif cfg.setting == "onetime":

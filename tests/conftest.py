@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dynvc import Graph
+from dynvc.weighted import loads
 
 
 class ForcedRng:
@@ -29,6 +30,21 @@ class ForcedRng:
 
     def random(self):
         return self._rnd.pop(0)
+
+
+def free_slots(sol, g, problem):
+    """The slots F by their definition: classic, the selected slots and the
+    unselected ones with both endpoints at degree 0; dual, the slots with a
+    positive weight and those with no tight endpoint."""
+    eu, ev = g.endpoint_lists()
+    if problem == "classic":
+        deg = [0] * (g.n + 1)
+        for j in np.nonzero(sol)[0].tolist():
+            deg[eu[j]] += 1
+            deg[ev[j]] += 1
+        return {j for j in range(g.m) if sol[j] or deg[eu[j]] + deg[ev[j]] == 0}
+    excess = (loads(sol, g) - g.weights).tolist()
+    return {j for j in range(g.m) if sol[j] > 0 or (excess[eu[j]] and excess[ev[j]])}
 
 
 def flip_mask_draws(positions, m):

@@ -4,7 +4,8 @@ After every operation each engine must agree with the from-scratch fitness
 of its own solution, and with the reference path run on a mirrored graph:
 the pure step functions and ``apply_change`` on solution arrays. Its index
 of accepting moves must hold exactly the single moves that change the state
-under the pure one-move step.
+under the pure one-move step, and its index of free slots exactly the
+slots F that a step must hit to change the state.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from dynvc import (AddEdge, Graph, GraphError, RemoveEdge, apply_change,
                    step_weighted, target_reached)
 from dynvc.engine import _ClassicEngine, _DualEngine
 
-from conftest import ForcedRng
+from conftest import ForcedRng, free_slots
 
 N = 7
 PAIRS = [(u, v) for u in range(1, N + 1) for v in range(u + 1, N + 1)]
@@ -114,6 +115,16 @@ class _EngineMachine(RuleBasedStateMachine):
         assert len(where) == len(coins) * self.g.m
         assert all(where[mv] == p for p, mv in enumerate(accepting))
         assert sum(p >= 0 for p in where) == len(accepting)
+
+    @invariant()
+    def free_index_holds_the_free_slots(self):
+        free, fwhere = self.engine.free, self.engine.fwhere
+        assert sorted(free) == sorted(free_slots(self.sol, self.mirror, self.problem))
+        assert len(fwhere) == self.g.m
+        assert all(fwhere[j] == p for p, j in enumerate(free))
+        assert sum(p >= 0 for p in fwhere) == len(free)
+        per = self.engine.PER_EDGE
+        assert {mv // per for mv in self.engine.accepting} <= set(free)
 
 
 class ClassicEngineMachine(_EngineMachine):

@@ -7,10 +7,12 @@ per step. Both must sample the same Markov chain: a two-sample KS test on
 same instances, must give p >= 0.001. The seeds are fixed; a failing seed is
 a distribution bug, not a seed to re-pick. A KS test on whole runs is blind
 to small shifts in rare events, so the law of the loop's multi-hit events
-is also checked on its own against Bin(m, 1/m).
+is also checked on its own against Bin(m, 1/m), as thinned to the steps
+that hit the engine's free slots.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -111,26 +113,53 @@ def test_event_loop_matches_step_loop_in_distribution(case):
         assert p >= ALPHA, f"n_changes differ in distribution: p = {p:.2g}"
 
 
-def test_multi_hit_events_follow_the_binomial_law(monkeypatch):
-    # a star held at its maximal matching accepts no single move, so every
-    # event is an EA step of k >= 2 hits: one must come with chance
-    # P(k >= 2) per step, with k ~ Bin(m, 1/m) given k >= 2
-    hits = []
-    monkeypatch.setattr(_ClassicEngine, "try_moves", lambda self, moves: hits.append(moves))
-    m, budget = 10, 200_000
+def _multi_hit_events(monkeypatch, family, m, budget):
+    """The move sets of a classic EA run's events, held at the greedy maximal
+    matching because try_moves only records them, and the matched slots."""
+    hits, free = [], set()
+
+    def record(self, moves):
+        hits.append(moves)
+        free.add(tuple(sorted(self.free)))
+
+    monkeypatch.setattr(_ClassicEngine, "try_moves", record)
     run_once(RunTask(run_index=0, master_seed=9, problem="classic", algo="ea",
-                     family="star", wmax=1, source=("star", m, 1, 0),
+                     family=family, wmax=1, source=(family, m, 1, 0),
                      schedule=OneTime(budget), policy=UNIFORM_POLICY, init="greedy",
                      budget=budget, stride=1, want_trace=False, keep_final=False))
-    pmf = [math.comb(m, k) * m ** -k * (1 - 1 / m) ** (m - k) for k in range(m + 1)]
-    p2 = sum(pmf[2:])
-    assert abs(len(hits) - budget * p2) < 4 * math.sqrt(budget * p2 * (1 - p2))
-    sizes = [len(set(moves)) for moves in hits]
-    assert sizes == [len(moves) for moves in hits]  # distinct slots
-    for k in range(2, 6):
-        want = len(hits) * pmf[k] / p2
-        assert abs(sizes.count(k) - want) < 4 * math.sqrt(want)
-    assert max(sizes) <= m
-    # every slot is hit equally often
-    slots = np.bincount([j for moves in hits for j in moves], minlength=m)
-    assert slots.max() - slots.min() < 8 * math.sqrt(slots.mean())
+    (matched,) = free
+    return hits, matched
+
+
+def test_multi_hit_events_follow_the_binomial_law(monkeypatch):
+    # at a maximal matching a graph accepts no single move and its F is the
+    # matched slots, so every event is an EA step of k >= 2 hits, k_F >= 1 of
+    # them in F: one must come with chance P(k >= 2, k_F >= 1) per step, with
+    # (k_F, k - k_F) ~ Bin(f, 1/m) x Bin(m - f, 1/m) given both, on distinct
+    # uniform slots of F and of the rest. On the star, F is one slot.
+    m, budget = 10, 200_000
+
+    def pmf(n, i):
+        return math.comb(n, i) * m ** -i * (1 - 1 / m) ** (n - i)
+
+    for family in ("star", "path"):
+        hits, matched = _multi_hit_events(monkeypatch, family, m, budget)
+        f = len(matched)
+        assert f == 1 if family == "star" else f > 1
+        law = {(i, r): pmf(f, i) * pmf(m - f, r)
+               for i in range(1, f + 1) for r in range(m - f + 1) if i + r >= 2}
+        p = sum(law.values())
+        assert abs(len(hits) - budget * p) < 4 * math.sqrt(budget * p * (1 - p))
+        assert all(len(set(moves)) == len(moves) for moves in hits)  # distinct slots
+        split = Counter((len(set(moves) & set(matched)), len(set(moves) - set(matched)))
+                        for moves in hits)
+        assert set(split) <= set(law)
+        for key in sorted(law, key=law.get)[-4:]:  # the four likeliest splits
+            want = len(hits) * law[key] / p
+            assert abs(split[key] - want) < 4 * math.sqrt(want), (family, key)
+        # slots of F are hit equally often, and so are the others
+        slots = np.bincount([j for moves in hits for j in moves], minlength=m)
+        for group in (list(matched), [j for j in range(m) if j not in matched]):
+            if len(group) > 1:
+                counts = slots[group]
+                assert counts.max() - counts.min() < 8 * math.sqrt(counts.mean())

@@ -22,7 +22,7 @@ from dynvc.cli import main as cli_main
 from dynvc.dynamics import DELETE_POSITIVE_POLICY, UNIFORM_POLICY
 from dynvc.weighted import induced_cover
 
-from conftest import ForcedRng, flip_mask_draws, random_graph
+from conftest import ForcedRng, flip_mask_draws, free_slots, random_graph
 
 
 # -- seeding -----------------------------------------------------------------
@@ -225,6 +225,68 @@ def test_engine_multi_move_steps_match_pure_steps(problem):
                         engine = make(g, sol)
 
 
+def _search_state(problem, g, rng):
+    """A greedy maximal solution or a random one; the greedy ones leave many
+    slots outside F, and the sparse ones keep some unselected slots in it."""
+    if problem == "classic":
+        if rng.random() < 0.5:
+            return greedy_maximal_matching(g, rng)
+        return (rng.random(g.m) < rng.random() / 2).astype(np.uint8)
+    if rng.random() < 0.5:
+        return greedy_maximal_dual(g, rng)
+    return rng.integers(0, 3, size=g.m).astype(np.int64)
+
+
+@pytest.mark.parametrize("problem", ["classic", "weighted"])
+def test_steps_that_miss_the_free_slots_change_nothing(problem):
+    # the lemma the EA's event rate rests on: every 1-, 2- and 3-slot hit set
+    # outside the engine's F, with every coin pattern for the dual, leaves the
+    # pure step's solution as it is
+    rng = np.random.default_rng(71)
+    step = step_classic if problem == "classic" else step_weighted
+    make = _ClassicEngine if problem == "classic" else _DualEngine
+    checked = 0
+    for _ in range(40):
+        g = random_graph(rng, n_max=6, w_max=3 if problem == "weighted" else 1)
+        sol = _search_state(problem, g, rng)
+        free = set(make(g, sol).free)
+        rest = [j for j in range(g.m) if j not in free]
+        for k in (1, 2, 3):
+            for slots in itertools.combinations(rest, k):
+                patterns = ([[]] if problem == "classic"
+                            else itertools.product((0, 1), repeat=k))
+                for coins in patterns:
+                    draws = ForcedRng(geometric=flip_mask_draws(slots, g.m), integers=coins)
+                    assert np.array_equal(step(sol, g, "ea", draws), sol)
+                    assert not (draws._geo or draws._int)
+                    checked += 1
+    assert checked > 500  # not vacuous
+
+
+@pytest.mark.parametrize("problem", ["classic", "weighted"])
+def test_one_pass_build_equals_an_engine_built_by_moves(problem):
+    # the constructor's single pass against an empty engine raised to the
+    # same solution by its own moves: counters equal, indexes equal as sets
+    rng = np.random.default_rng(73)
+    make = _ClassicEngine if problem == "classic" else _DualEngine
+    for _ in range(60):
+        g = random_graph(rng, n_max=9, w_max=4 if problem == "weighted" else 1)
+        sol = _search_state(problem, g, rng)
+        built, grown = make(g, sol), make(g, np.zeros_like(sol))
+        for j in np.nonzero(sol)[0].tolist():
+            if problem == "classic":
+                grown.apply(j)
+            else:
+                grown._delta(j, int(sol[j]))
+        for name in make.__slots__:
+            assert getattr(built, name) == getattr(grown, name), name
+        for items, where in ((built.accepting, built.where), (built.free, built.fwhere)):
+            assert all(where[i] == p for p, i in enumerate(items))
+            assert sum(p >= 0 for p in where) == len(items)
+        assert sorted(built.accepting) == sorted(grown.accepting)
+        assert sorted(built.free) == sorted(grown.free) == sorted(free_slots(sol, g, problem))
+
+
 def test_engine_target_agrees_with_predicate():
     rng = np.random.default_rng(53)
     for _ in range(50):
@@ -407,6 +469,24 @@ def test_auto_pd_and_opt_budget_resolution():
     phase = 2 * math.e * opt * g.m + 10 * math.e**2 * g.m**2
     assert float(rec.param) == pytest.approx(1 / (1.1 * phase))
     assert rec.budget == math.ceil(5 * (opt * g.m + g.m * g.m))
+
+
+def test_weighted_ea_sweep_resolves_opt_beyond_the_exact_oracle():
+    # gnp m=256 has n=33 > 24 vertices; there the default budget and
+    # auto_thm9 take the weight of the cover that the unshuffled greedy
+    # maximal dual induces, which lies between that dual's total and twice it
+    cfg = ExperimentConfig(family="gnp", sizes=(64, 128, 256), problem="weighted",
+                           algo="ea", pd="auto_thm9", wmax=8, reps=1, seed=5)
+    records = run_sweep(cfg)
+    assert [r.n for r in records] == [17, 24, 33]
+    assert all(r.error is None and r.target_reached for r in records)
+    g = _instance(build_tasks(cfg)[2].source)
+    dual = greedy_maximal_dual(g)
+    ub = sum(g.vertex_weight(v) for v in induced_cover(dual, g))
+    assert dual.sum() <= ub <= 2 * dual.sum()
+    assert records[2].budget == math.ceil(50 * (ub * g.m + g.m * g.m))
+    phase = 2 * math.e * ub * g.m + 10 * math.e**2 * g.m**2
+    assert float(records[2].param) == pytest.approx(1 / (1.1 * phase))
 
 
 # -- statistics and CSV -----------------------------------------------------------

@@ -14,12 +14,12 @@ from dynvc import ExperimentConfig, run_sweep, spawn_rng
 from dynvc.harness import records_to_csv, traces_to_csv
 
 PINNED = {
-    ("classic", "ea", "onetime"): "c1de80072f749e46",
-    ("classic", "ea", "prob"): "3aa51a0ff7c5e9e0",
+    ("classic", "ea", "onetime"): "11f97288cebc258f",
+    ("classic", "ea", "prob"): "87c548f839914200",
     ("classic", "rls", "onetime"): "ead91daf532907a2",
     ("classic", "rls", "prob"): "3bd297eebf9d4050",
-    ("weighted", "ea", "onetime"): "cef2196115c972f3",
-    ("weighted", "ea", "prob"): "683230e18fe8daaa",
+    ("weighted", "ea", "onetime"): "7a37a72edfe7dc29",
+    ("weighted", "ea", "prob"): "e7073c95656c0ac0",
     ("weighted", "rls", "onetime"): "dd8105316c3e60fa",
     ("weighted", "rls", "prob"): "3a98f8e9ef18ce17",
 }
