@@ -3,7 +3,9 @@
 An engine owns its graph. It reads the graph's live endpoint and incidence
 lists, and edge changes go through its ``add_edge``/``remove_edge``, which
 update the graph and the engine state together in O(deg). The constructor
-builds the state and both indexes below in one pass over the edges.
+builds the state and both indexes below in one vectorised numpy pass over the
+graph's cached edge arrays, and hands every list to the step loop as Python
+ints.
 
 The index ``accepting`` holds the accepting single moves: the moves that one
 step would make, and keep, if it drew that move alone. A classic move is an
@@ -39,6 +41,7 @@ import numpy as np
 
 from .classic import _flip_positions
 from .graph import Graph, GraphError
+from .weighted import loads
 
 
 def _swap_pop(index: int, *lists: list) -> None:
@@ -64,14 +67,13 @@ def _mark(items: list[int], where: list[int], item: int, flag: bool) -> None:
         where[item] = -1
 
 
-def _index(flags: list[bool]) -> tuple[list[int], list[int]]:
+def _index(flags: np.ndarray) -> tuple[list[int], list[int]]:
     """The index of the entries whose flag is set, in ascending order, and
-    its position list."""
-    items = [i for i, flag in enumerate(flags) if flag]
-    where = [-1] * len(flags)
-    for p, i in enumerate(items):
-        where[i] = p
-    return items, where
+    its position list, from a bool array."""
+    items = flags.nonzero()[0]
+    where = np.full(len(flags), -1, dtype=np.int64)
+    where[items] = np.arange(len(items))
+    return items.tolist(), where.tolist()
 
 
 def _drop(items: list[int], where: list[int], per: int, index: int) -> None:
@@ -135,23 +137,24 @@ class _ClassicEngine(_Engine):
     def __init__(self, g: Graph, sol: np.ndarray):
         self.g = g
         self.m = g.m
-        self.eu, self.ev = eu, ev = g.endpoint_lists()
+        self.eu, self.ev = g.endpoint_lists()
         self.inc = g.incidence_lists()
-        self.bits = bits = sol.tolist()
-        self.deg = deg = [0] * (g.n + 1)
-        for u, v, b in zip(eu, ev, bits):
-            if b:
-                deg[u] += 1
-                deg[v] += 1
-        self.covcnt = [(deg[u] > 0) + (deg[v] > 0) for u, v in zip(eu, ev)]
-        self.pairs = sum(d * (d - 1) // 2 for d in deg)
-        self.uncovered = self.covcnt.count(0)
-        self.cover_size = g.n + 1 - deg.count(0)
-        self.selected = sum(bits)
-        ds = [deg[u] + deg[v] for u, v in zip(eu, ev)]
-        self.accepting, self.where = _index([d > 2 if b else d == 0
-                                             for d, b in zip(ds, bits)])
-        self.free, self.fwhere = _index([b or d == 0 for d, b in zip(ds, bits)])
+        eu, ev = g.edge_arrays()
+        sel = sol != 0
+        deg = (np.bincount(eu[sel], minlength=g.n + 1)
+               + np.bincount(ev[sel], minlength=g.n + 1))
+        touched = deg > 0
+        covcnt = touched[eu].astype(np.int64) + touched[ev]
+        ds = deg[eu] + deg[ev]
+        self.bits = sol.tolist()
+        self.deg = deg.tolist()
+        self.covcnt = covcnt.tolist()
+        self.pairs = int((deg * (deg - 1) // 2).sum())
+        self.uncovered = int(np.count_nonzero(covcnt == 0))
+        self.cover_size = int(np.count_nonzero(touched))
+        self.selected = int(sol.sum())
+        self.accepting, self.where = _index(np.where(sel, ds > 2, ds == 0))
+        self.free, self.fwhere = _index(sel | (ds == 0))
 
     def moves_at(self, slots: list[int], coin) -> list[int]:
         """The moves that hit ``slots``; a classic move draws no coin."""
@@ -276,7 +279,7 @@ class _ClassicEngine(_Engine):
         return (self.uncovered, self.selected)
 
     def solution(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.uint8)
+        return np.frombuffer(bytes(self.bits), np.uint8).copy()
 
 
 def _band(excess: int) -> int:
@@ -300,23 +303,27 @@ class _DualEngine(_Engine):
     def __init__(self, g: Graph, sol: np.ndarray):
         self.g = g
         self.m = g.m
-        self.eu, self.ev = eu, ev = g.endpoint_lists()
+        self.eu, self.ev = g.endpoint_lists()
         self.inc = g.incidence_lists()
-        self.w = w = g.weights.tolist()
-        self.s = s = sol.tolist()
-        self.load = load = [0] * (g.n + 1)
-        for u, v, x in zip(eu, ev, s):
-            load[u] += x
-            load[v] += x
-        ex = [a - b for a, b in zip(load, w)]  # vertex 0 has weight 0, no edge
-        self.violations = sum(x > 0 for x in ex)
-        self.covcnt = [(ex[u] >= 0) + (ex[v] >= 0) for u, v in zip(eu, ev)]
-        self.uncovered = self.covcnt.count(0)
-        self.total = sum(s)
-        up = [ex[u] != 0 and ex[v] != 0 for u, v in zip(eu, ev)]
-        down = [x > 0 and (ex[u] == 1 or ex[v] == 1) for u, v, x in zip(eu, ev, s)]
-        self.accepting, self.where = _index([f for pair in zip(up, down) for f in pair])
-        self.free, self.fwhere = _index([x > 0 or a for x, a in zip(s, up)])
+        eu, ev = g.edge_arrays()
+        load = loads(sol, g)
+        ex = load - g.weights  # vertex 0 has weight 0, no edge
+        exu, exv = ex[eu], ex[ev]
+        covcnt = (exu >= 0).astype(np.int64) + (exv >= 0)
+        up = (exu != 0) & (exv != 0)
+        positive = sol > 0
+        down = positive & ((exu == 1) | (exv == 1))
+        self.w = g.weights.tolist()
+        self.s = sol.tolist()
+        self.load = load.tolist()
+        self.covcnt = covcnt.tolist()
+        self.violations = int(np.count_nonzero(ex > 0))
+        self.uncovered = int(np.count_nonzero(covcnt == 0))
+        self.total = int(sol.sum())
+        moves = np.empty(2 * self.m, dtype=bool)  # +1 of slot j at 2j, -1 at 2j + 1
+        moves[0::2], moves[1::2] = up, down
+        self.accepting, self.where = _index(moves)
+        self.free, self.fwhere = _index(positive | up)
 
     def moves_at(self, slots: list[int], coin) -> list[int]:
         """The moves that hit ``slots``, each with a fair ``coin()``: 0 means +1."""

@@ -8,6 +8,14 @@ compacted with the remap returned by :meth:`Graph.remove_edge`.
 
 Every vertex keeps the sorted slots of its incident edges, repaired in
 O(deg) on each mutation, so incidence queries never scan all m slots.
+
+Two slot-order caches spare a run its O(m) conversions. The endpoint arrays
+of :meth:`Graph.edge_arrays` are built on first use, read-only, and dropped
+by any mutation. The serialized ``e u v`` lines of :meth:`Graph.to_text` are
+built on first use and then kept current: an added edge appends its line and
+a removal swap-removes it, as it does the endpoint lists. :meth:`Graph.copy`
+fills both caches on its source and hands them to the copy (the arrays
+shared, the lines copied), so the copies of one instance build them once.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ class Graph:
         # lexicographic pair order that free_pair walks
         self._upper: list[int] = [0] * (n + 1)
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self._lines: list[str] | None = None  # "e u v\n" per slot, once built
 
     # -- basic queries ---------------------------------------------------
 
@@ -105,10 +114,13 @@ class Graph:
         return list(zip(self._us, self._vs))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (eu, ev) in slot order; cached until the next mutation."""
+        """Endpoint arrays (eu, ev) in slot order; cached until the next
+        mutation, shared with copies, and read-only."""
         if self._arrays is None:
-            self._arrays = (np.array(self._us, dtype=np.int32),
-                            np.array(self._vs, dtype=np.int32))
+            eu = np.array(self._us, dtype=np.intp)
+            ev = np.array(self._vs, dtype=np.intp)
+            eu.flags.writeable = ev.flags.writeable = False
+            self._arrays = (eu, ev)
         return self._arrays
 
     def endpoint_lists(self) -> tuple[list[int], list[int]]:
@@ -183,6 +195,8 @@ class Graph:
         self._inc[v].append(slot)
         self._upper[u] += 1
         self._arrays = None
+        if self._lines is not None:
+            self._lines.append(f"e {u} {v}\n")
         return slot
 
     def remove_edge(self, index: int) -> dict[int, int]:
@@ -212,12 +226,17 @@ class Graph:
             remap[last] = index
         self._us.pop()
         self._vs.pop()
+        if self._lines is not None:
+            self._lines[index] = self._lines[-1]
+            self._lines.pop()
         self._arrays = None
         return remap
 
     # -- misc ---------------------------------------------------------------
 
     def copy(self) -> Graph:
+        """An independent graph with the same slots, sharing this graph's
+        edge arrays and a copy of its edge lines, both built here if absent."""
         g = Graph.__new__(Graph)
         g.n = self.n
         g.m_max = self.m_max
@@ -227,7 +246,8 @@ class Graph:
         g._slot = dict(self._slot)
         g._inc = [list(inc) for inc in self._inc]
         g._upper = list(self._upper)
-        g._arrays = None
+        g._arrays = self.edge_arrays()
+        g._lines = list(self._edge_lines())
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -250,15 +270,18 @@ class Graph:
 
     # -- text format ---------------------------------------------------------
 
+    def _edge_lines(self) -> list[str]:
+        """The ``e u v`` line of every slot, in slot order, built on first use."""
+        if self._lines is None:
+            self._lines = [f"e {u} {v}\n" for u, v in zip(self._us, self._vs)]
+        return self._lines
+
     def to_text(self) -> str:
         """Serialize to the line-oriented graph format (round-trips exactly)."""
-        lines = [f"graph {self.n} {self.m_max}"]
-        for v in range(1, self.n + 1):
-            if self._w[v] != 1:
-                lines.append(f"vw {v} {int(self._w[v])}")
-        for u, v in zip(self._us, self._vs):
-            lines.append(f"e {u} {v}")
-        return "\n".join(lines) + "\n"
+        w = self._w.tolist()
+        head = [f"graph {self.n} {self.m_max}\n"]
+        head.extend(f"vw {v} {w[v]}\n" for v in range(1, self.n + 1) if w[v] != 1)
+        return "".join(head + self._edge_lines())
 
     @classmethod
     def from_text(cls, text: str) -> Graph:

@@ -694,11 +694,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     """Run every repetition; the result is ordered by run_index and is a pure
     function of the config (job count only changes wall time)."""
     tasks = build_tasks(cfg)
+    # Largest instances first, so a pool ends on short batches that the
+    # workers share out instead of one worker running the last big batch
+    # alone, and a serial sweep starts on the instance that build_tasks left
+    # in _instance's cache; a stable sort keeps each size's repetitions back
+    # to back.
+    tasks.sort(key=_task_size, reverse=True)
     if cfg.jobs > 1 and len(tasks) > 1:
-        # Largest instances first, so the pool ends on short batches that the
-        # workers share out instead of one worker running the last big batch
-        # alone; a stable sort keeps each size's repetitions back to back.
-        tasks.sort(key=_task_size, reverse=True)
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             records = list(pool.map(_run_task_safe, tasks,
                                     chunksize=_chunksize(len(tasks), cfg.jobs)))

@@ -207,3 +207,58 @@ def test_copy_is_independent(triangle):
     assert triangle.incidence_lists() == scanned_incidence(triangle)
     assert g2.incidence_lists() == scanned_incidence(g2)
     assert g2.free_pair(0) == (1, 2)
+
+
+def reference_text(g):
+    """The text format written from the graph's public queries."""
+    lines = [f"graph {g.n} {g.m_max}"]
+    lines += [f"vw {v} {g.vertex_weight(v)}" for v in range(1, g.n + 1)
+              if g.vertex_weight(v) != 1]
+    lines += [f"e {u} {v}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text_first", [False, True])
+def test_copy_keeps_its_caches_apart(text_first):
+    # a copy shares its source's edge arrays and copies its edge lines; no
+    # mutation of the copy may reach the source, and the copy's lines stay
+    # in slot order through appends and swap-removes
+    rng = np.random.default_rng(407 + text_first)
+    for _ in range(30):
+        n = int(rng.integers(2, 14))
+        src = Graph(n, vertex_weight={v: int(rng.integers(1, 4)) for v in range(1, n + 1)})
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        for k in rng.permutation(len(pairs))[:int(rng.integers(len(pairs) + 1))]:
+            src.add_edge(*pairs[int(k)])
+        if src.m and rng.random() < 0.5:
+            src.remove_edge(int(rng.integers(src.m)))
+        text, edges = reference_text(src), src.edges()
+        if text_first:
+            assert src.to_text() == text
+        cp = src.copy()
+        for _ in range(int(rng.integers(1, 40))):
+            if cp.m and (cp.m == cp.m_max or rng.random() < 0.5):
+                cp.remove_edge(int(rng.integers(cp.m)))
+            else:
+                cp.add_edge(*cp.free_pair(int(rng.integers(cp.m_max - cp.m))))
+            if rng.random() < 0.2:  # rebuild the copy's arrays mid-sequence
+                cp.edge_arrays()
+        out = cp.to_text()
+        assert out == reference_text(cp)
+        assert Graph.from_text(out) == cp
+        assert [tuple(map(int, line.split()[1:])) for line in out.splitlines()
+                if line.startswith("e ")] == cp.edges()
+        assert src.to_text() == text and src.edges() == edges
+        eu, ev = src.edge_arrays()
+        assert list(zip(eu.tolist(), ev.tolist())) == edges
+
+
+def test_cached_edge_arrays_are_read_only(triangle):
+    cp = triangle.copy()
+    assert all(a is b for a, b in zip(cp.edge_arrays(), triangle.edge_arrays()))
+    for g in (triangle, cp):
+        for arr in g.edge_arrays():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 3
+    assert triangle.edges() == cp.edges() == [(1, 2), (2, 3), (1, 3)]
+    assert list(triangle.edge_arrays()[1]) == [2, 3, 3]

@@ -263,14 +263,38 @@ def test_steps_that_miss_the_free_slots_change_nothing(problem):
     assert checked > 500  # not vacuous
 
 
+def _build_cases(problem, rng):
+    """Graphs for the one-pass build: small random ones, then the edge cases
+    of its vectorised constructor."""
+    wmax = 4 if problem == "weighted" else 1
+    for _ in range(60):
+        yield random_graph(rng, n_max=9, w_max=wmax)
+    yield Graph(6)  # m = 0
+    g = Graph(12, vertex_weight={v: 1 + v % wmax for v in range(1, 13)})
+    for u, v in [(1, 2), (2, 3), (1, 3), (3, 5)]:
+        g.add_edge(u, v)  # 4 and 6..12 isolated
+    yield g
+    g = random_graph(rng, n_max=9, w_max=wmax, min_edges=10)
+    for _ in range(30):  # churn the slot order by swap-removes and appends
+        if g.m and rng.random() < 0.6:
+            g.remove_edge(int(rng.integers(g.m)))
+        elif g.m < g.m_max:
+            g.add_edge(*g.free_pair(int(rng.integers(g.m_max - g.m))))
+    yield g
+    yield make_instance("gnp", 512, wmax=wmax, seed=7)
+
+
 @pytest.mark.parametrize("problem", ["classic", "weighted"])
 def test_one_pass_build_equals_an_engine_built_by_moves(problem):
     # the constructor's single pass against an empty engine raised to the
-    # same solution by its own moves: counters equal, indexes equal as sets
+    # same solution by its own moves: counters equal, indexes equal as sets,
+    # and every counter and list entry a Python int
     rng = np.random.default_rng(73)
     make = _ClassicEngine if problem == "classic" else _DualEngine
-    for _ in range(60):
-        g = random_graph(rng, n_max=9, w_max=4 if problem == "weighted" else 1)
+    own = ("m", "accepting", "where", "free", "fwhere", *make.__slots__)
+    sizes = []
+    for g in _build_cases(problem, rng):
+        sizes.append(g.m)
         sol = _search_state(problem, g, rng)
         built, grown = make(g, sol), make(g, np.zeros_like(sol))
         for j in np.nonzero(sol)[0].tolist():
@@ -280,11 +304,19 @@ def test_one_pass_build_equals_an_engine_built_by_moves(problem):
                 grown._delta(j, int(sol[j]))
         for name in make.__slots__:
             assert getattr(built, name) == getattr(grown, name), name
+        for name in own:
+            value = getattr(built, name)
+            entries = value if isinstance(value, list) else [value]
+            assert all(type(x) is int for x in entries), name
         for items, where in ((built.accepting, built.where), (built.free, built.fwhere)):
             assert all(where[i] == p for p, i in enumerate(items))
             assert sum(p >= 0 for p in where) == len(items)
+        assert len(built.where) == make.PER_EDGE * g.m and len(built.fwhere) == g.m
         assert sorted(built.accepting) == sorted(grown.accepting)
         assert sorted(built.free) == sorted(grown.free) == sorted(free_slots(sol, g, problem))
+        assert np.array_equal(built.solution(), sol)
+        assert built.solution().dtype == sol.dtype
+    assert 0 in sizes and max(sizes) >= 512
 
 
 def test_engine_target_agrees_with_predicate():
@@ -536,6 +568,26 @@ def test_summarize_leaves_out_failed_runs():
     assert only_failed["reached"] == 0.0
     for stat in ("mean", "stderr", "median"):
         assert np.isnan(only_failed[stat])
+
+
+def test_serial_sweep_starts_on_the_instance_set_up_left_cached(monkeypatch):
+    # build_tasks builds the sizes in ascending order and _instance keeps the
+    # last one; the serial sweep runs largest first, so it builds every size
+    # but the largest once more
+    built = []
+
+    def counted(family, m, *args):
+        built.append(m)
+        return make_instance(family, m, *args)
+
+    monkeypatch.setattr("dynvc.harness.make_instance", counted)
+    _instance.cache_clear()
+    cfg = ExperimentConfig(family="gnp", sizes=(6, 10, 20), reps=3, seed=5)
+    recs = run_sweep(cfg)
+    assert built == [6, 10, 20, 10, 6]
+    assert len(built) == 2 * len(cfg.sizes) - 1
+    assert [r.run_index for r in recs] == list(range(9))
+    assert [r.m for r in recs] == [6] * 3 + [10] * 3 + [20] * 3
 
 
 def test_chunksize_reaches_every_worker():
