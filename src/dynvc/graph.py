@@ -9,13 +9,16 @@ compacted with the remap returned by :meth:`Graph.remove_edge`.
 Every vertex keeps the sorted slots of its incident edges, repaired in
 O(deg) on each mutation, so incidence queries never scan all m slots.
 
-Two slot-order caches spare a run its O(m) conversions. The endpoint arrays
-of :meth:`Graph.edge_arrays` are built on first use, read-only, and dropped
-by any mutation. The serialized ``e u v`` lines of :meth:`Graph.to_text` are
-built on first use and then kept current: an added edge appends its line and
-a removal swap-removes it, as it does the endpoint lists. :meth:`Graph.copy`
-fills both caches on its source and hands them to the copy (the arrays
-shared, the lines copied), so the copies of one instance build them once.
+Two slot-order caches spare a run its O(m) conversions. Both are built on
+first use and then kept current: an added edge appends its entry and a
+removal swap-removes it, as it does the endpoint lists. The endpoint arrays
+of :meth:`Graph.edge_arrays` are read-only views into buffers of spare
+capacity; a buffer that views were handed out of is never written again,
+so the first mutation after a hand-out copies it once, and appends grow it
+by doubling. The serialized ``e u v`` lines serve :meth:`Graph.to_text`.
+:meth:`Graph.copy` fills both caches on its source and hands them to the
+copy (the arrays shared, the lines copied), so the copies of one instance
+build them once.
 """
 
 from __future__ import annotations
@@ -72,6 +75,9 @@ class Graph:
         # edges whose smaller endpoint is v: the taken pairs of row v in the
         # lexicographic pair order that free_pair walks
         self._upper: list[int] = [0] * (n + 1)
+        # endpoint buffers (capacity >= m, built on first use), and the
+        # read-only views of their first m slots while handed out
+        self._buf: tuple[np.ndarray, np.ndarray] | None = None
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._lines: list[str] | None = None  # "e u v\n" per slot, once built
 
@@ -114,14 +120,31 @@ class Graph:
         return list(zip(self._us, self._vs))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (eu, ev) in slot order; cached until the next
-        mutation, shared with copies, and read-only."""
+        """Endpoint arrays (eu, ev) in slot order; the same objects until the
+        next mutation, shared with copies, read-only, and never written."""
         if self._arrays is None:
-            eu = np.array(self._us, dtype=np.intp)
-            ev = np.array(self._vs, dtype=np.intp)
+            if self._buf is None:
+                self._buf = (np.array(self._us, dtype=np.intp),
+                             np.array(self._vs, dtype=np.intp))
+            eu, ev = (b[:self.m] for b in self._buf)
             eu.flags.writeable = ev.flags.writeable = False
             self._arrays = (eu, ev)
         return self._arrays
+
+    def _writable_buffers(self, size: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The endpoint buffers, safe to write slots below ``size`` in, or
+        None if never built; a mutation calls it before changing the lists.
+        A buffer that views were handed out of, or one too short, is first
+        copied into one of twice ``size``. Either way the views are dropped."""
+        buf = self._buf
+        if buf is not None and (self._arrays is not None or len(buf[0]) < size):
+            m = self.m
+            self._buf = tuple(np.empty(2 * size, dtype=np.intp) for _ in buf)
+            for new, old in zip(self._buf, buf):
+                new[:m] = old[:m]
+            buf = self._buf
+        self._arrays = None
+        return buf
 
     def endpoint_lists(self) -> tuple[list[int], list[int]]:
         """Live endpoint lists (us, vs) in slot order, with us[i] < vs[i].
@@ -188,13 +211,15 @@ class Graph:
         slot = len(self._us)
         if slot >= self.m_max:
             raise GraphError(f"edge universe full (m_max={self.m_max})")
+        if self._buf is not None:
+            buf = self._writable_buffers(slot + 1)
+            buf[0][slot], buf[1][slot] = u, v
         self._us.append(u)
         self._vs.append(v)
         self._slot[key] = slot
         self._inc[u].append(slot)
         self._inc[v].append(slot)
         self._upper[u] += 1
-        self._arrays = None
         if self._lines is not None:
             self._lines.append(f"e {u} {v}\n")
         return slot
@@ -208,6 +233,7 @@ class Graph:
         """
         self._check_slot(index)
         last = self.m - 1
+        buf = self._writable_buffers(last + 1)
         key = (self._us[index], self._vs[index])
         del self._slot[key]
         for x in key:
@@ -219,6 +245,8 @@ class Graph:
             moved = (self._us[last], self._vs[last])
             self._us[index], self._vs[index] = moved
             self._slot[moved] = index
+            if buf is not None:
+                buf[0][index], buf[1][index] = moved
             for x in moved:
                 inc = self._inc[x]
                 inc.pop()  # the last slot is the largest in every list
@@ -229,7 +257,6 @@ class Graph:
         if self._lines is not None:
             self._lines[index] = self._lines[-1]
             self._lines.pop()
-        self._arrays = None
         return remap
 
     # -- misc ---------------------------------------------------------------
@@ -247,6 +274,7 @@ class Graph:
         g._inc = [list(inc) for inc in self._inc]
         g._upper = list(self._upper)
         g._arrays = self.edge_arrays()
+        g._buf = self._buf
         g._lines = list(self._edge_lines())
         return g
 

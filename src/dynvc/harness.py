@@ -8,8 +8,8 @@ function of its configuration regardless of execution order or job count.
 
 The run loop drives one incremental engine per run (:mod:`dynvc.engine`)
 and is rejection-free: it jumps over the steps that cannot change the state
-instead of evaluating them, and decides the others from the engine's
-indexes of accepting moves and free slots. ``steps_to_target``, budgets, spans and traces still
+instead of evaluating them, and samples the others from the engine's
+event law. ``steps_to_target``, budgets, spans and traces still
 count every step of the simulated algorithm, and runs follow the same
 distribution as a per-step loop, but the random stream is not the one a
 per-step loop reads, so records differ from those of such a loop.
@@ -279,30 +279,6 @@ def _skip(u: float, q: float) -> int:
     return int(math.log(1.0 - u) / math.log1p(-q)) + 1
 
 
-@functools.lru_cache(maxsize=128)
-def _hit_law(m: int) -> tuple[float, float]:
-    """For the EA's hits k ~ Bin(m, 1/m), m >= 2: P(k = 1) and log(1 - 1/m),
-    the log of the chance that a given slot is missed."""
-    miss = math.log1p(-1.0 / m)
-    return math.exp((m - 1) * miss), miss
-
-
-def _hit_count(n: int, m: int, miss: float, u: float, least: int) -> int:
-    """The hits among ``n`` slots, k ~ Bin(n, 1/m) given k >= ``least``
-    (0 or 1), by the inverse transform of the uniform ``u``."""
-    p0 = math.exp(n * miss)
-    if least:
-        u *= -math.expm1(n * miss)
-        k, term = 1, p0 * n / (m - 1)
-    else:
-        k, term = 0, p0
-    while u >= term and k < n:
-        u -= term
-        term *= (n - k) / ((k + 1) * (m - 1))
-        k += 1
-    return k
-
-
 def run_once(task: RunTask) -> RunRecord:
     """Execute one repetition; a pure function of the task.
 
@@ -314,25 +290,27 @@ def run_once(task: RunTask) -> RunRecord:
 
     Most steps change nothing, so the loop jumps instead of stepping
     (the n-fold way of Bortz, Kalos and Lebowitz): from each boundary it
-    draws the Geometric distance to the next step that can change the state,
-    and the Geometric distance to the next change, and jumps to the
-    earliest of those, the next due step, the budget and, when at target,
-    the next stride multiple that checks it. The steps that can change the
-    state are thinned from a superset whose rate is known (Lewis and
-    Shedler): for RLS, one accepting move of the engine's index, at rate
-    a/M (a accepting moves out of M); for the EA, also a step of k >= 2
-    hits of which at least one falls in the engine's free slots F, at rate
-    P(k = 1) a/M + P(k >= 2, k_F >= 1) = P(k = 1) a/M + 1 - (1 - 1/m)^f
-    - (f/m)(1 - 1/m)^(m-1) for |F| = f, since a step that misses F cannot
-    change the state (the lemma in :mod:`dynvc.engine`). Such an event
-    draws k_F ~ Bin(f, 1/m) given k_F >= 1 and k_R ~ Bin(m - f, 1/m),
-    again until k_F + k_R >= 2, then distinct uniform slots of F and of the
-    rest, and ``try_moves`` decides it. The skipped steps are counted in
-    ``steps_to_target`` and the budget as the steps they stand for, and
-    trace rows for the skipped boundaries are written in bulk. This samples
-    the same Markov chain as a per-step loop over ``engine.step``, but not
-    from the same random stream; the EA's stream changed when it began to
-    thin multi-hit steps by F, and the RLS stream did not. A reached target
+    draws the Geometric distance to the next event, and the Geometric
+    distance to the next change, and jumps to the earliest of those, the
+    next due step, the budget and, when at target, the next stride multiple
+    that checks it. The engine names the events, a superset of the steps
+    that can change the state, and their rate q per step (the lemmas in
+    :mod:`dynvc.engine`). For RLS an event is one accepting move of the
+    engine's index, at q = a/M (a accepting moves out of M). The classic EA
+    stays at a matching, where an event is a proposal from the union of the
+    events E'_t: q = a/m + r/m^2 (r unselected slots that are not
+    accepting), and a proposal is kept with chance 1/c(H) (Karp, Luby and
+    Madras), so that each hit set H comes with its chance per step. A
+    classic EA run whose start is not a matching raises ``ValueError``. The
+    dual EA's events are its accepting moves and the steps of k >= 2 hits
+    that hit its free slots F, thinned from Bin(m, 1/m) (Lewis and
+    Shedler). The skipped steps are counted in ``steps_to_target`` and the
+    budget as the steps they stand for, and trace rows for the skipped
+    boundaries are written in bulk. This samples the same Markov chain as a
+    per-step loop over ``engine.step``, but not from the same random
+    stream; the EA's stream changed when it began to thin multi-hit steps
+    by F, and the classic EA's again when its events moved to the union of
+    the E'_t, and the RLS stream did not. A reached target
     is re-certified by a full evaluation of the final solution; a mismatch
     raises ``ValueError``.
     """
@@ -346,6 +324,12 @@ def run_once(task: RunTask) -> RunRecord:
         dtype = np.uint8 if task.problem == "classic" else np.int64
         sol = np.zeros(g.m, dtype=dtype)
     engine = _make_engine(task.problem, g, sol)
+    ea = task.algo == "ea"
+    if ea and task.problem == "classic" and engine.pairs:
+        raise ValueError(f"run {task.run_index}: the classic EA must start at a "
+                         f"matching, but its start has {engine.pairs} adjacent pairs")
+    event_rate, event_at = ((engine.ea_rate, engine.ea_event) if ea
+                            else (engine.rls_rate, engine.rls_event))
     policy = task.policy
 
     def sample():
@@ -374,7 +358,7 @@ def run_once(task: RunTask) -> RunRecord:
 
     schedule = task.schedule
     due, rate, last_step = schedule.due(), schedule.rate, schedule.last_step()
-    stride, budget, ea = task.stride, task.budget, task.algo == "ea"
+    stride, budget = task.stride, task.budget
     k = 0  # index of the next due step
     next_due = due[0] if due else _NEVER
     next_poll = _skip(uniform(), rate) - 1 if rate else _NEVER  # first poll hit
@@ -410,16 +394,7 @@ def run_once(task: RunTask) -> RunRecord:
         if t >= budget:
             break
         if event is None:  # the state is new: draw the distance to its next event
-            m, a, n_moves = engine.m, len(engine.accepting), len(engine.where)
-            if ea and m > 1:  # P(k = 1) a / M + P(k >= 2 and a hit in F)
-                p1, miss = _hit_law(m)
-                f = len(engine.free)
-                p2 = -math.expm1(f * miss) - f / m * p1
-                q = p2 + p1 * a / n_moves
-            else:  # RLS, or an EA step on one slot, which hits it alone
-                p2 = 0.0
-                q = a / n_moves if m else 0.0
-            event = t + _skip(uniform(), q)
+            event = t + _skip(uniform(), event_rate())
         stop = min(event, next_due, next_poll, budget)
         if at_target:  # the next check that records a span or may stop
             first = t + 1 if pending else max(t + 1, last_step)
@@ -428,25 +403,7 @@ def run_once(task: RunTask) -> RunRecord:
             row = engine.trace_sample()
             trace.extend((b, *row) for b in range(t - t % stride + stride, stop, stride))
         if stop == event:
-            if p2 and uniform() * q < p2:
-                # k >= 2 hits, k_F >= 1 of them in F: distinct uniform slots
-                # of F and of the rest
-                kf = kr = 0
-                while kf + kr < 2:
-                    kf = _hit_count(f, m, miss, uniform(), 1)
-                    kr = _hit_count(m - f, m, miss, uniform(), 0)
-                free, fwhere, pos = engine.free, engine.fwhere, []
-                while len(pos) < kf:
-                    j = free[int(uniform() * f)]
-                    if j not in pos:
-                        pos.append(j)
-                while len(pos) < kf + kr:
-                    j = int(uniform() * m)
-                    if fwhere[j] < 0 and j not in pos:
-                        pos.append(j)
-                engine.try_moves(engine.moves_at(pos, coin))
-            else:  # one accepting move, uniform over the index
-                engine.apply(engine.accepting[int(uniform() * a)])
+            event_at(uniform, coin)
             event = None
         t = stop
 

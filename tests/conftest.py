@@ -32,19 +32,38 @@ class ForcedRng:
         return self._rnd.pop(0)
 
 
-def free_slots(sol, g, problem):
-    """The slots F by their definition: classic, the selected slots and the
-    unselected ones with both endpoints at degree 0; dual, the slots with a
-    positive weight and those with no tight endpoint."""
+def free_slots(sol, g):
+    """The dual's slots F by their definition: the slots with a positive
+    weight and those with no tight endpoint."""
     eu, ev = g.endpoint_lists()
-    if problem == "classic":
-        deg = [0] * (g.n + 1)
-        for j in np.nonzero(sol)[0].tolist():
-            deg[eu[j]] += 1
-            deg[ev[j]] += 1
-        return {j for j in range(g.m) if sol[j] or deg[eu[j]] + deg[ev[j]] == 0}
     excess = (loads(sol, g) - g.weights).tolist()
     return {j for j in range(g.m) if sol[j] > 0 or (excess[eu[j]] and excess[ev[j]])}
+
+
+def assert_mates(mate, sol, g):
+    """The classic engine's ``mate``: per vertex, -1 when no selected slot
+    touches it, else one of the selected slots that do."""
+    eu, ev = g.endpoint_lists()
+    at = [[] for _ in range(g.n + 1)]
+    for j in np.nonzero(sol)[0].tolist():
+        at[eu[j]].append(j)
+        at[ev[j]].append(j)
+    assert len(mate) == g.n + 1
+    for x, slots in enumerate(at):
+        assert mate[x] in slots if slots else mate[x] == -1, x
+
+
+def mate_events(sol, g):
+    """The slot sets of the classic events E'_t by their definition, at a
+    matching: per unselected slot t, t and the matched slot at t's first
+    endpoint that has one, if any."""
+    eu, ev = g.endpoint_lists()
+    matched = {}
+    for j in np.nonzero(sol)[0].tolist():
+        matched[eu[j]] = matched[ev[j]] = j
+    return {t: {t} | ({matched[x]} if x in matched else set())
+            for t in range(g.m) if not sol[t]
+            for x in [eu[t] if eu[t] in matched else ev[t]]}
 
 
 def flip_mask_draws(positions, m):

@@ -4,8 +4,9 @@ After every operation each engine must agree with the from-scratch fitness
 of its own solution, and with the reference path run on a mirrored graph:
 the pure step functions and ``apply_change`` on solution arrays. Its index
 of accepting moves must hold exactly the single moves that change the state
-under the pure one-move step, and its index of free slots exactly the
-slots F that a step must hit to change the state.
+under the pure one-move step. The dual engine's index of free slots must
+hold exactly the slots F that a step must hit to change the state, and the
+classic engine's ``mate`` a selected slot at every vertex that has one.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from dynvc import (AddEdge, Graph, GraphError, RemoveEdge, apply_change,
                    step_weighted, target_reached)
 from dynvc.engine import _ClassicEngine, _DualEngine
 
-from conftest import ForcedRng, free_slots
+from conftest import ForcedRng, assert_mates, free_slots
 
 N = 7
 PAIRS = [(u, v) for u in range(1, N + 1) for v in range(u + 1, N + 1)]
@@ -116,21 +117,14 @@ class _EngineMachine(RuleBasedStateMachine):
         assert all(where[mv] == p for p, mv in enumerate(accepting))
         assert sum(p >= 0 for p in where) == len(accepting)
 
-    @invariant()
-    def free_index_holds_the_free_slots(self):
-        free, fwhere = self.engine.free, self.engine.fwhere
-        assert sorted(free) == sorted(free_slots(self.sol, self.mirror, self.problem))
-        assert len(fwhere) == self.g.m
-        assert all(fwhere[j] == p for p, j in enumerate(free))
-        assert sum(p >= 0 for p in fwhere) == len(free)
-        per = self.engine.PER_EDGE
-        assert {mv // per for mv in self.engine.accepting} <= set(free)
-
-
 class ClassicEngineMachine(_EngineMachine):
     problem = "classic"
     engine_cls = _ClassicEngine
     dtype = np.uint8
+
+    @invariant()
+    def mate_is_a_selected_slot_at_each_vertex(self):
+        assert_mates(self.engine.mate, self.sol, self.mirror)
 
 
 class DualEngineMachine(_EngineMachine):
@@ -139,6 +133,15 @@ class DualEngineMachine(_EngineMachine):
     dtype = np.int64
     max_entry = 3
     w_max = 4
+
+    @invariant()
+    def free_index_holds_the_free_slots(self):
+        free, fwhere = self.engine.free, self.engine.fwhere
+        assert sorted(free) == sorted(free_slots(self.sol, self.mirror))
+        assert len(fwhere) == self.g.m
+        assert all(fwhere[j] == p for p, j in enumerate(free))
+        assert sum(p >= 0 for p in fwhere) == len(free)
+        assert {mv // 2 for mv in self.engine.accepting} <= set(free)
 
 
 _SETTINGS = settings(max_examples=60, stateful_step_count=30, deadline=None)

@@ -7,10 +7,12 @@ per step. Both must sample the same Markov chain: a two-sample KS test on
 same instances, must give p >= 0.001. The seeds are fixed; a failing seed is
 a distribution bug, not a seed to re-pick. A KS test on whole runs is blind
 to small shifts in rare events, so the law of the loop's multi-hit events
-is also checked on its own against Bin(m, 1/m), as thinned to the steps
-that hit the engine's free slots.
+is also checked on its own against Bin(m, 1/m): classic, on the union of
+the events the engine samples from, enumerated hit set by hit set; dual,
+as thinned to the steps that hit the engine's free slots.
 """
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -20,8 +22,10 @@ import pytest
 
 from dynvc import ExperimentConfig, OneTime, harness
 from dynvc.dynamics import UNIFORM_POLICY
-from dynvc.engine import _ClassicEngine
-from dynvc.harness import RunTask, build_tasks, run_once
+from dynvc.engine import _ClassicEngine, _DualEngine
+from dynvc.harness import RunTask, build_tasks, make_instance, run_once
+
+from conftest import free_slots, mate_events
 
 RUNS = 300
 ALPHA = 0.001
@@ -97,6 +101,11 @@ CASES = {
                                wmax=4, seed=74),
     "classic-ea-churn": dict(family="gnp", sizes=(32,), problem="classic", algo="ea",
                              setting="prob", pd=0.05, reps=RUNS, seed=75),
+    # a 6-cycle: most of its accepted multi-hit events are swaps (select t,
+    # deselect the matched slot next to it), and they end about a fifth of
+    # the runs that do not start at target
+    "classic-ea-reopt-swaps": dict(_REOPT, family="cycle", sizes=(6,), problem="classic",
+                                   algo="ea", init="greedy", seed=76),
 }
 
 
@@ -113,53 +122,87 @@ def test_event_loop_matches_step_loop_in_distribution(case):
         assert p >= ALPHA, f"n_changes differ in distribution: p = {p:.2g}"
 
 
-def _multi_hit_events(monkeypatch, family, m, budget):
-    """The move sets of a classic EA run's events, held at the greedy maximal
-    matching because try_moves only records them, and the matched slots."""
-    hits, free = [], set()
+def _recorded_events(monkeypatch, engine_cls, family, m, wmax, budget):
+    """The move sets of an EA run's multi-hit events, held at its greedy
+    start because try_moves only records them, and that start's solution."""
+    hits, states = [], set()
 
     def record(self, moves):
         hits.append(moves)
-        free.add(tuple(sorted(self.free)))
+        states.add(tuple(self.solution().tolist()))
 
-    monkeypatch.setattr(_ClassicEngine, "try_moves", record)
-    run_once(RunTask(run_index=0, master_seed=9, problem="classic", algo="ea",
-                     family=family, wmax=1, source=(family, m, 1, 0),
+    monkeypatch.setattr(engine_cls, "try_moves", record)
+    problem = "classic" if engine_cls is _ClassicEngine else "weighted"
+    run_once(RunTask(run_index=0, master_seed=9, problem=problem, algo="ea",
+                     family=family, wmax=wmax, source=(family, m, wmax, 0),
                      schedule=OneTime(budget), policy=UNIFORM_POLICY, init="greedy",
                      budget=budget, stride=1, want_trace=False, keep_final=False))
-    (matched,) = free
-    return hits, matched
+    (state,) = states
+    return hits, np.array(state)
 
 
 def test_multi_hit_events_follow_the_binomial_law(monkeypatch):
-    # at a maximal matching a graph accepts no single move and its F is the
-    # matched slots, so every event is an EA step of k >= 2 hits, k_F >= 1 of
+    # at a maximal matching no single move is accepted, so every classic
+    # event is a step of k >= 2 hits in the union of the events E'_t (t hit,
+    # and its matched neighbour slot too). Per step, each hit set H of that
+    # union must come with its chance under Bin(m, 1/m) hits, m^-|H|
+    # (1 - 1/m)^(m - |H|), and no other H may come; checked against all 2^m
+    # hit sets. On the star, every E'_t holds the one matched slot.
+    m, budget = 10, 200_000
+    for family in ("star", "path"):
+        hits, sol = _recorded_events(monkeypatch, _ClassicEngine, family, m, 1, budget)
+        events = list(mate_events(sol, make_instance(family, m)).values())
+        union = {}
+        for k in range(2, m + 1):
+            for subset in itertools.combinations(range(m), k):
+                if any(e <= set(subset) for e in events):
+                    union[frozenset(subset)] = m ** -k * (1 - 1 / m) ** (m - k)
+        assert all(len(e) == 2 for e in events)  # no accepting slot
+        assert sum(sol) == 1 if family == "star" else sum(sol) > 1
+        p = sum(union.values())
+        assert abs(len(hits) - budget * p) < 4 * math.sqrt(budget * p * (1 - p)), family
+        assert all(len(set(moves)) == len(moves) for moves in hits)  # distinct slots
+        seen = Counter(frozenset(moves) for moves in hits)
+        assert set(seen) <= set(union)
+        for key in sorted(union, key=union.get)[-10:]:  # the ten likeliest hit sets
+            want = budget * union[key]
+            assert abs(seen[key] - want) < 4 * math.sqrt(want), (family, sorted(key))
+
+
+def test_dual_multi_hit_events_follow_the_thinned_binomial_law(monkeypatch):
+    # at a maximal dual no single move is accepted and F is the positive
+    # slots, so every dual event is an EA step of k >= 2 hits, k_F >= 1 of
     # them in F: one must come with chance P(k >= 2, k_F >= 1) per step, with
     # (k_F, k - k_F) ~ Bin(f, 1/m) x Bin(m - f, 1/m) given both, on distinct
-    # uniform slots of F and of the rest. On the star, F is one slot.
+    # uniform slots of F and of the rest, each with a fair coin
     m, budget = 10, 200_000
 
     def pmf(n, i):
         return math.comb(n, i) * m ** -i * (1 - 1 / m) ** (n - i)
 
     for family in ("star", "path"):
-        hits, matched = _multi_hit_events(monkeypatch, family, m, budget)
-        f = len(matched)
-        assert f == 1 if family == "star" else f > 1
+        moves, sol = _recorded_events(monkeypatch, _DualEngine, family, m, 3, budget)
+        hits = [[mv >> 1 for mv in mvs] for mvs in moves]
+        free = set(np.nonzero(sol)[0].tolist())
+        assert free == free_slots(sol, make_instance(family, m, wmax=3))
+        f = len(free)
+        assert 0 < f < m
         law = {(i, r): pmf(f, i) * pmf(m - f, r)
                for i in range(1, f + 1) for r in range(m - f + 1) if i + r >= 2}
         p = sum(law.values())
         assert abs(len(hits) - budget * p) < 4 * math.sqrt(budget * p * (1 - p))
-        assert all(len(set(moves)) == len(moves) for moves in hits)  # distinct slots
-        split = Counter((len(set(moves) & set(matched)), len(set(moves) - set(matched)))
-                        for moves in hits)
+        assert all(len(set(slots)) == len(slots) for slots in hits)  # distinct slots
+        split = Counter((len(set(slots) & free), len(set(slots) - free)) for slots in hits)
         assert set(split) <= set(law)
         for key in sorted(law, key=law.get)[-4:]:  # the four likeliest splits
             want = len(hits) * law[key] / p
             assert abs(split[key] - want) < 4 * math.sqrt(want), (family, key)
         # slots of F are hit equally often, and so are the others
-        slots = np.bincount([j for moves in hits for j in moves], minlength=m)
-        for group in (list(matched), [j for j in range(m) if j not in matched]):
+        slots = np.bincount([j for h in hits for j in h], minlength=m)
+        for group in (sorted(free), [j for j in range(m) if j not in free]):
             if len(group) > 1:
                 counts = slots[group]
                 assert counts.max() - counts.min() < 8 * math.sqrt(counts.mean())
+        downs = sum(mv & 1 for mvs in moves for mv in mvs)
+        total = sum(map(len, moves))
+        assert abs(downs - total / 2) < 4 * math.sqrt(total / 4)  # fair coins

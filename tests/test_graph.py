@@ -221,8 +221,9 @@ def reference_text(g):
 @pytest.mark.parametrize("text_first", [False, True])
 def test_copy_keeps_its_caches_apart(text_first):
     # a copy shares its source's edge arrays and copies its edge lines; no
-    # mutation of the copy may reach the source, and the copy's lines stay
-    # in slot order through appends and swap-removes
+    # mutation of the copy may reach the source, the copy's lines and arrays
+    # stay in slot order through appends and swap-removes, and no array
+    # handed out is written afterwards
     rng = np.random.default_rng(407 + text_first)
     for _ in range(30):
         n = int(rng.integers(2, 14))
@@ -236,13 +237,24 @@ def test_copy_keeps_its_caches_apart(text_first):
         if text_first:
             assert src.to_text() == text
         cp = src.copy()
+        src_arrays = src.edge_arrays()
+        lent = []  # arrays the copy handed out, with their values then
         for _ in range(int(rng.integers(1, 40))):
             if cp.m and (cp.m == cp.m_max or rng.random() < 0.5):
                 cp.remove_edge(int(rng.integers(cp.m)))
             else:
                 cp.add_edge(*cp.free_pair(int(rng.integers(cp.m_max - cp.m))))
-            if rng.random() < 0.2:  # rebuild the copy's arrays mid-sequence
-                cp.edge_arrays()
+            if rng.random() < 0.2:  # hand the copy's arrays out mid-sequence
+                arrays = cp.edge_arrays()
+                assert not any(a.flags.writeable for a in arrays)
+                lent.append((arrays, [a.copy() for a in arrays]))
+            # the buffers the next edge_arrays() views hold the lists
+            assert [b[:cp.m].tolist() for b in cp._buf] == list(cp.endpoint_lists())
+            for arrays, then in lent:
+                assert all(np.array_equal(a, b) for a, b in zip(arrays, then))
+            assert src.edge_arrays() is src_arrays
+            assert list(zip(*(a.tolist() for a in src_arrays))) == edges
+        assert [a.tolist() for a in cp.edge_arrays()] == list(map(list, cp.endpoint_lists()))
         out = cp.to_text()
         assert out == reference_text(cp)
         assert Graph.from_text(out) == cp
@@ -251,6 +263,13 @@ def test_copy_keeps_its_caches_apart(text_first):
         assert src.to_text() == text and src.edges() == edges
         eu, ev = src.edge_arrays()
         assert list(zip(eu.tolist(), ev.tolist())) == edges
+        if src.m:  # nor may a mutation of the source reach what the copy holds
+            src.remove_edge(0)
+            src.add_edge(*edges[0])
+            assert [a.tolist() for a in cp.edge_arrays()] == list(map(list, cp.endpoint_lists()))
+            for arrays, then in lent:
+                assert all(np.array_equal(a, b) for a, b in zip(arrays, then))
+            assert list(zip(eu.tolist(), ev.tolist())) == edges
 
 
 def test_cached_edge_arrays_are_read_only(triangle):

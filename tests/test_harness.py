@@ -22,7 +22,8 @@ from dynvc.cli import main as cli_main
 from dynvc.dynamics import DELETE_POSITIVE_POLICY, UNIFORM_POLICY
 from dynvc.weighted import induced_cover
 
-from conftest import ForcedRng, flip_mask_draws, free_slots, random_graph
+from conftest import (ForcedRng, assert_mates, flip_mask_draws, free_slots,
+                      mate_events, random_graph)
 
 
 # -- seeding -----------------------------------------------------------------
@@ -227,7 +228,8 @@ def test_engine_multi_move_steps_match_pure_steps(problem):
 
 def _search_state(problem, g, rng):
     """A greedy maximal solution or a random one; the greedy ones leave many
-    slots outside F, and the sparse ones keep some unselected slots in it."""
+    slots outside the dual's F, and the sparse ones keep some unselected
+    slots in it."""
     if problem == "classic":
         if rng.random() < 0.5:
             return greedy_maximal_matching(g, rng)
@@ -237,29 +239,62 @@ def _search_state(problem, g, rng):
     return rng.integers(0, 3, size=g.m).astype(np.int64)
 
 
-@pytest.mark.parametrize("problem", ["classic", "weighted"])
+@pytest.mark.parametrize("problem", ["weighted"])
 def test_steps_that_miss_the_free_slots_change_nothing(problem):
-    # the lemma the EA's event rate rests on: every 1-, 2- and 3-slot hit set
-    # outside the engine's F, with every coin pattern for the dual, leaves the
+    # the lemma the dual EA's event rate rests on: every 1-, 2- and 3-slot
+    # hit set outside the engine's F, with every coin pattern, leaves the
     # pure step's solution as it is
     rng = np.random.default_rng(71)
-    step = step_classic if problem == "classic" else step_weighted
-    make = _ClassicEngine if problem == "classic" else _DualEngine
     checked = 0
     for _ in range(40):
-        g = random_graph(rng, n_max=6, w_max=3 if problem == "weighted" else 1)
+        g = random_graph(rng, n_max=6, w_max=3)
         sol = _search_state(problem, g, rng)
-        free = set(make(g, sol).free)
+        free = set(_DualEngine(g, sol).free)
         rest = [j for j in range(g.m) if j not in free]
         for k in (1, 2, 3):
             for slots in itertools.combinations(rest, k):
-                patterns = ([[]] if problem == "classic"
-                            else itertools.product((0, 1), repeat=k))
-                for coins in patterns:
+                for coins in itertools.product((0, 1), repeat=k):
                     draws = ForcedRng(geometric=flip_mask_draws(slots, g.m), integers=coins)
-                    assert np.array_equal(step(sol, g, "ea", draws), sol)
+                    assert np.array_equal(step_weighted(sol, g, "ea", draws), sol)
                     assert not (draws._geo or draws._int)
                     checked += 1
+    assert checked > 500  # not vacuous
+
+
+def _random_matching(g, rng):
+    """A matching that is seldom maximal: a shuffled scan that selects a
+    disjoint slot with chance 1/2."""
+    eu, ev = g.endpoint_lists()
+    sol, used = np.zeros(g.m, dtype=np.uint8), set()
+    for j in rng.permutation(g.m).tolist():
+        if eu[j] not in used and ev[j] not in used and rng.random() < 0.5:
+            sol[j] = 1
+            used.update((eu[j], ev[j]))
+    return sol
+
+
+def test_classic_steps_outside_every_mate_event_change_nothing():
+    # the lemma the classic EA's events rest on: at a matching, every 1-, 2-
+    # and 3-slot hit set that holds no E'_t leaves the pure step's solution
+    # as it is, and the engine's proposal rate is the sum of P(E'_t)
+    rng = np.random.default_rng(71)
+    checked = 0
+    for _ in range(40):
+        g = random_graph(rng, n_max=6)
+        sol = (greedy_maximal_matching(g, rng) if rng.random() < 0.5
+               else _random_matching(g, rng))
+        engine = _ClassicEngine(g, sol)
+        events = mate_events(sol, g)
+        assert {t: {t, engine._mu(t)} - {-1} for t in events} == events
+        assert math.isclose(engine.ea_rate(), sum(g.m ** -len(e) for e in events.values()))
+        for k in (1, 2, 3):
+            for slots in itertools.combinations(range(g.m), k):
+                if any(e <= set(slots) for e in events.values()):
+                    continue
+                draws = ForcedRng(geometric=flip_mask_draws(slots, g.m))
+                assert np.array_equal(step_classic(sol, g, "ea", draws), sol)
+                assert not draws._geo
+                checked += 1
     assert checked > 500  # not vacuous
 
 
@@ -289,9 +324,11 @@ def test_one_pass_build_equals_an_engine_built_by_moves(problem):
     # the constructor's single pass against an empty engine raised to the
     # same solution by its own moves: counters equal, indexes equal as sets,
     # and every counter and list entry a Python int
+    # (classic: ``mate`` equal at a matching, and valid for both elsewhere,
+    # where it may name any selected slot at a vertex)
     rng = np.random.default_rng(73)
     make = _ClassicEngine if problem == "classic" else _DualEngine
-    own = ("m", "accepting", "where", "free", "fwhere", *make.__slots__)
+    own = ("m", "accepting", "where", *(n for n in make.__slots__ if n != "law"))  # law: floats
     sizes = []
     for g in _build_cases(problem, rng):
         sizes.append(g.m)
@@ -303,17 +340,27 @@ def test_one_pass_build_equals_an_engine_built_by_moves(problem):
             else:
                 grown._delta(j, int(sol[j]))
         for name in make.__slots__:
-            assert getattr(built, name) == getattr(grown, name), name
+            if name not in ("mate", "free", "fwhere"):  # compared below
+                assert getattr(built, name) == getattr(grown, name), name
         for name in own:
             value = getattr(built, name)
             entries = value if isinstance(value, list) else [value]
             assert all(type(x) is int for x in entries), name
-        for items, where in ((built.accepting, built.where), (built.free, built.fwhere)):
+        indexes = [(built.accepting, built.where, grown.accepting)]
+        if problem == "classic":
+            assert_mates(built.mate, sol, g)
+            assert_mates(grown.mate, sol, g)
+            if built.pairs == 0:
+                assert built.mate == grown.mate
+        else:
+            indexes.append((built.free, built.fwhere, grown.free))
+            assert sorted(built.free) == sorted(free_slots(sol, g))
+            assert len(built.fwhere) == g.m
+        for items, where, grown_items in indexes:
             assert all(where[i] == p for p, i in enumerate(items))
             assert sum(p >= 0 for p in where) == len(items)
-        assert len(built.where) == make.PER_EDGE * g.m and len(built.fwhere) == g.m
-        assert sorted(built.accepting) == sorted(grown.accepting)
-        assert sorted(built.free) == sorted(grown.free) == sorted(free_slots(sol, g, problem))
+            assert set(items) == set(grown_items) and len(items) == len(grown_items)
+        assert len(built.where) == make.PER_EDGE * g.m
         assert np.array_equal(built.solution(), sol)
         assert built.solution().dtype == sol.dtype
     assert 0 in sizes and max(sizes) >= 512
@@ -378,6 +425,23 @@ def test_run_once_recertifies_a_reported_target(monkeypatch, tmp_path):
     assert rec.error and not rec.target_reached
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("family = path\nsizes = 8\njobs = 1\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 4
+
+
+def test_classic_ea_must_start_at_a_matching(monkeypatch, tmp_path):
+    # the classic EA's events hold every step that can change the state only
+    # at a matching: a start with adjacent selected edges is refused, as an
+    # error record and a sweep that exits 4; RLS does not need one
+    monkeypatch.setattr("dynvc.harness.greedy_maximal_matching",
+                        lambda g, rng=None: np.ones(g.m, dtype=np.uint8))
+    task = base_task(init="greedy", keep_final=False)
+    with pytest.raises(ValueError, match="must start at a matching"):
+        run_once(task)
+    rec = _run_task_safe(task)
+    assert rec.error and not rec.target_reached
+    assert run_once(base_task(init="greedy", algo="rls")).target_reached
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("family = path\nsizes = 8\ninit = greedy\njobs = 1\n")
     assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 4
 
 

@@ -14,8 +14,8 @@ from dynvc import ExperimentConfig, run_sweep, spawn_rng
 from dynvc.harness import records_to_csv, traces_to_csv
 
 PINNED = {
-    ("classic", "ea", "onetime"): "11f97288cebc258f",
-    ("classic", "ea", "prob"): "87c548f839914200",
+    ("classic", "ea", "onetime"): "86fe5b1c869177a7",
+    ("classic", "ea", "prob"): "48433405d3d45419",
     ("classic", "rls", "onetime"): "ead91daf532907a2",
     ("classic", "rls", "prob"): "3bd297eebf9d4050",
     ("weighted", "ea", "onetime"): "7a37a72edfe7dc29",
