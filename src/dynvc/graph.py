@@ -12,8 +12,8 @@ O(deg) on each mutation, so incidence queries never scan all m slots.
 Two slot-order caches spare a run its O(m) conversions. Both are built on
 first use and then kept current: an added edge appends its entry and a
 removal swap-removes it, as it does the endpoint lists. The endpoint arrays
-of :meth:`Graph.edge_arrays` are read-only views into buffers of spare
-capacity; a buffer that views were handed out of is never written again,
+of :meth:`Graph.edge_arrays` are read-only row views into one (2, capacity)
+buffer; a buffer that views were handed out of is never written again,
 so the first mutation after a hand-out copies it once, and appends grow it
 by doubling. The serialized ``e u v`` lines serve :meth:`Graph.to_text`.
 :meth:`Graph.copy` fills both caches on its source and hands them to the
@@ -75,9 +75,9 @@ class Graph:
         # edges whose smaller endpoint is v: the taken pairs of row v in the
         # lexicographic pair order that free_pair walks
         self._upper: list[int] = [0] * (n + 1)
-        # endpoint buffers (capacity >= m, built on first use), and the
-        # read-only views of their first m slots while handed out
-        self._buf: tuple[np.ndarray, np.ndarray] | None = None
+        # the (2, capacity >= m) endpoint buffer, built on first use, and the
+        # read-only views of its first m slots while handed out
+        self._buf: np.ndarray | None = None
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._lines: list[str] | None = None  # "e u v\n" per slot, once built
 
@@ -124,24 +124,21 @@ class Graph:
         next mutation, shared with copies, read-only, and never written."""
         if self._arrays is None:
             if self._buf is None:
-                self._buf = (np.array(self._us, dtype=np.intp),
-                             np.array(self._vs, dtype=np.intp))
-            eu, ev = (b[:self.m] for b in self._buf)
-            eu.flags.writeable = ev.flags.writeable = False
-            self._arrays = (eu, ev)
+                self._buf = np.array((self._us, self._vs), dtype=np.intp)
+            arrays = self._buf[:, :self.m]
+            arrays.flags.writeable = False
+            self._arrays = (arrays[0], arrays[1])
         return self._arrays
 
-    def _writable_buffers(self, size: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """The endpoint buffers, safe to write slots below ``size`` in, or
+    def _writable_buffer(self, size: int) -> np.ndarray | None:
+        """The endpoint buffer, safe to write slots below ``size`` in, or
         None if never built; a mutation calls it before changing the lists.
         A buffer that views were handed out of, or one too short, is first
         copied into one of twice ``size``. Either way the views are dropped."""
         buf = self._buf
-        if buf is not None and (self._arrays is not None or len(buf[0]) < size):
-            m = self.m
-            self._buf = tuple(np.empty(2 * size, dtype=np.intp) for _ in buf)
-            for new, old in zip(self._buf, buf):
-                new[:m] = old[:m]
+        if buf is not None and (self._arrays is not None or buf.shape[1] < size):
+            self._buf = np.empty((2, 2 * size), dtype=np.intp)
+            self._buf[:, :self.m] = buf[:, :self.m]
             buf = self._buf
         self._arrays = None
         return buf
@@ -212,8 +209,8 @@ class Graph:
         if slot >= self.m_max:
             raise GraphError(f"edge universe full (m_max={self.m_max})")
         if self._buf is not None:
-            buf = self._writable_buffers(slot + 1)
-            buf[0][slot], buf[1][slot] = u, v
+            buf = self._writable_buffer(slot + 1)
+            buf[0, slot], buf[1, slot] = u, v
         self._us.append(u)
         self._vs.append(v)
         self._slot[key] = slot
@@ -233,7 +230,7 @@ class Graph:
         """
         self._check_slot(index)
         last = self.m - 1
-        buf = self._writable_buffers(last + 1)
+        buf = self._writable_buffer(last + 1)
         key = (self._us[index], self._vs[index])
         del self._slot[key]
         for x in key:
@@ -246,7 +243,7 @@ class Graph:
             self._us[index], self._vs[index] = moved
             self._slot[moved] = index
             if buf is not None:
-                buf[0][index], buf[1][index] = moved
+                buf[0, index], buf[1, index] = moved
             for x in moved:
                 inc = self._inc[x]
                 inc.pop()  # the last slot is the largest in every list

@@ -296,23 +296,25 @@ def run_once(task: RunTask) -> RunRecord:
     that checks it. The engine names the events, a superset of the steps
     that can change the state, and their rate q per step (the lemmas in
     :mod:`dynvc.engine`). For RLS an event is one accepting move of the
-    engine's index, at q = a/M (a accepting moves out of M). The classic EA
-    stays at a matching, where an event is a proposal from the union of the
-    events E'_t: q = a/m + r/m^2 (r unselected slots that are not
-    accepting), and a proposal is kept with chance 1/c(H) (Karp, Luby and
-    Madras), so that each hit set H comes with its chance per step. A
-    classic EA run whose start is not a matching raises ``ValueError``. The
-    dual EA's events are its accepting moves and the steps of k >= 2 hits
-    that hit its free slots F, thinned from Bin(m, 1/m) (Lewis and
-    Shedler). The skipped steps are counted in ``steps_to_target`` and the
-    budget as the steps they stand for, and trace rows for the skipped
-    boundaries are written in bulk. This samples the same Markov chain as a
-    per-step loop over ``engine.step``, but not from the same random
-    stream; the EA's stream changed when it began to thin multi-hit steps
-    by F, and the classic EA's again when its events moved to the union of
-    the E'_t, and the RLS stream did not. A reached target
-    is re-certified by a full evaluation of the final solution; a mismatch
-    raises ``ValueError``.
+    engine's index, at q = a/M (a accepting moves out of M). Every run
+    stays in its region, a matching or a feasible dual, and its start must
+    lie there: the engine raises ``ValueError`` otherwise. At a matching,
+    a classic EA event is a proposal from the union of the events E'_t:
+    q = a/m + r/m^2 (r unselected slots that are not accepting), and a
+    proposal is kept with chance 1/c(H) (Karp, Luby and Madras), so that
+    each hit set H comes with its chance per step. The dual EA's events are
+    its accepting moves and the steps of k >= 2 hits that hit its free
+    slots F, thinned from Bin(m, 1/m) (Lewis and Shedler). The skipped
+    steps are counted in ``steps_to_target`` and the budget as the steps
+    they stand for, and trace rows for the skipped boundaries are written
+    in bulk. This samples the same Markov chain as a per-step loop over
+    ``engine.step``, but not from the same random stream; the EA's stream
+    changed when it began to thin multi-hit steps by F, the classic EA's
+    again when its events moved to the union of the E'_t, and the EA's
+    records again when tied multi-move steps began to apply their removals
+    first; the RLS stream did not. A reached target is re-certified by a
+    full evaluation of the final solution; a mismatch raises
+    ``ValueError``.
     """
     g = _instance(task.source).copy()
     rng = spawn_rng(task.master_seed, task.run_index)
@@ -324,11 +326,7 @@ def run_once(task: RunTask) -> RunRecord:
         dtype = np.uint8 if task.problem == "classic" else np.int64
         sol = np.zeros(g.m, dtype=dtype)
     engine = _make_engine(task.problem, g, sol)
-    ea = task.algo == "ea"
-    if ea and task.problem == "classic" and engine.pairs:
-        raise ValueError(f"run {task.run_index}: the classic EA must start at a "
-                         f"matching, but its start has {engine.pairs} adjacent pairs")
-    event_rate, event_at = ((engine.ea_rate, engine.ea_event) if ea
+    event_rate, event_at = ((engine.ea_rate, engine.ea_event) if task.algo == "ea"
                             else (engine.rls_rate, engine.rls_event))
     policy = task.policy
 

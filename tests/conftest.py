@@ -40,6 +40,29 @@ def free_slots(sol, g):
     return {j for j in range(g.m) if sol[j] > 0 or (excess[eu[j]] and excess[ev[j]])}
 
 
+def in_region(problem, sol, g):
+    """``sol`` mapped into the region the searches keep to, by one scan in
+    slot order: a classic slot stays selected only while both its endpoints
+    are free, and a dual entry is lowered to its endpoints' remaining slack.
+    Engines refuse starts outside it."""
+    eu, ev = g.endpoint_lists()
+    out = sol.copy()
+    if problem == "classic":
+        free = [True] * (g.n + 1)
+        for j in range(g.m):
+            if out[j] and free[eu[j]] and free[ev[j]]:
+                free[eu[j]] = free[ev[j]] = False
+            else:
+                out[j] = 0
+    else:
+        slack = g.weights.tolist()
+        for j in range(g.m):
+            out[j] = min(int(out[j]), slack[eu[j]], slack[ev[j]])
+            slack[eu[j]] -= int(out[j])
+            slack[ev[j]] -= int(out[j])
+    return out
+
+
 def assert_mates(mate, sol, g):
     """The classic engine's ``mate``: per vertex, -1 when no selected slot
     touches it, else one of the selected slots that do."""

@@ -23,7 +23,7 @@ from dynvc.dynamics import DELETE_POSITIVE_POLICY, UNIFORM_POLICY
 from dynvc.weighted import induced_cover
 
 from conftest import (ForcedRng, assert_mates, flip_mask_draws, free_slots,
-                      mate_events, random_graph)
+                      in_region, mate_events, random_graph)
 
 
 # -- seeding -----------------------------------------------------------------
@@ -132,6 +132,10 @@ def test_target_reached_examples(triangle, p3w):
 
 
 # -- engines vs pure step functions -----------------------------------------------
+# The engines model only the region the searches keep to (matchings and
+# feasible duals), so these tests map their drawn solutions into it with
+# ``in_region``; the pure step functions keep the whole domain in
+# test_classic.py and test_weighted.py.
 
 @pytest.mark.parametrize("problem,variant", [
     ("classic", "ea"), ("classic", "rls"),
@@ -142,11 +146,11 @@ def test_engine_matches_pure_steps(problem, variant):
     for trial in range(25):
         g = random_graph(rng, n_max=9, w_max=4 if problem == "weighted" else 1)
         if problem == "classic":
-            sol = (rng.random(g.m) < 0.5).astype(np.uint8)
+            sol = in_region(problem, (rng.random(g.m) < 0.5).astype(np.uint8), g)
             engine = _ClassicEngine(g, sol)
             fitness, step = fitness_classic, step_classic
         else:
-            sol = rng.integers(0, 3, size=g.m).astype(np.int64)
+            sol = in_region(problem, rng.integers(0, 3, size=g.m).astype(np.int64), g)
             engine = _DualEngine(g, sol)
             fitness, step = fitness_weighted, step_weighted
         rng_a = spawn_rng(trial, 0)
@@ -171,16 +175,16 @@ def _forced_one_move(variant, j, m, coin):
 
 @pytest.mark.parametrize("problem", ["classic", "weighted"])
 def test_engine_one_move_steps_match_pure_steps(problem):
-    # every slot, both variants and both dual directions, from states with
-    # adjacent selected edges, overloaded vertices and zero dual entries
+    # every slot, both variants and both dual directions, from matchings and
+    # feasible duals with tight vertices and zero dual entries
     rng = np.random.default_rng(61)
     for _ in range(40):
         g = random_graph(rng, n_max=7, w_max=3 if problem == "weighted" else 1)
         if problem == "classic":
-            sol = (rng.random(g.m) < 0.4).astype(np.uint8)
+            sol = in_region(problem, (rng.random(g.m) < 0.4).astype(np.uint8), g)
             make, fitness, step, coins = _ClassicEngine, fitness_classic, step_classic, [None]
         else:
-            sol = rng.integers(0, 3, size=g.m).astype(np.int64)
+            sol = in_region(problem, rng.integers(0, 3, size=g.m).astype(np.int64), g)
             make, fitness, step, coins = _DualEngine, fitness_weighted, step_weighted, [0, 1]
         for variant in ("ea", "rls"):
             for j in range(g.m):
@@ -195,20 +199,33 @@ def test_engine_one_move_steps_match_pure_steps(problem):
 
 
 @pytest.mark.parametrize("problem", ["classic", "weighted"])
-def test_engine_multi_move_steps_match_pure_steps(problem):
+def test_engine_multi_move_steps_match_pure_steps(problem, monkeypatch):
     # every 2-slot and 3-slot EA move set, with every coin pattern for the
-    # dual, from states with adjacent selected edges, overloaded vertices and
-    # zero dual entries: the O(k) decision must keep exactly what the pure
-    # step keeps, ties included
+    # dual, from matchings and feasible duals with tight vertices and zero
+    # dual entries: the O(k) decision must keep exactly what the pure step
+    # keeps, ties included. A step applies its removals before its
+    # additions and reverts in the reverse order, so every state it passes
+    # through, applied or reverted, must have no adjacent selected pair or
+    # no violation: each elementary move is checked from scratch
     rng = np.random.default_rng(67)
-    for _ in range(12):
+    if problem == "classic":
+        make, fitness, step, name = _ClassicEngine, fitness_classic, step_classic, "_flip"
+    else:
+        make, fitness, step, name = _DualEngine, fitness_weighted, step_weighted, "_delta"
+    move, passed = getattr(make, name), []
+
+    def checked_move(self, *args):
+        move(self, *args)
+        assert fitness(self.solution(), self.g)[0] == 0  # pairs or violations
+        passed.append(args)
+
+    monkeypatch.setattr(make, name, checked_move)
+    for _ in range(40 if problem == "classic" else 12):  # most classic sets apply nothing
         g = random_graph(rng, n_max=5, w_max=3 if problem == "weighted" else 1)
         if problem == "classic":
-            sol = (rng.random(g.m) < 0.4).astype(np.uint8)
-            make, fitness, step = _ClassicEngine, fitness_classic, step_classic
+            sol = in_region(problem, (rng.random(g.m) < 0.4).astype(np.uint8), g)
         else:
-            sol = rng.integers(0, 3, size=g.m).astype(np.int64)
-            make, fitness, step = _DualEngine, fitness_weighted, step_weighted
+            sol = in_region(problem, rng.integers(0, 3, size=g.m).astype(np.int64), g)
         engine = make(g, sol)
         for k in (2, 3):
             for slots in itertools.combinations(range(g.m), k):
@@ -224,19 +241,20 @@ def test_engine_multi_move_steps_match_pure_steps(problem):
                     assert np.array_equal(engine.solution(), want)
                     if not np.array_equal(want, sol):
                         engine = make(g, sol)
+    assert len(passed) > (150 if problem == "classic" else 800)  # not vacuous
 
 
 def _search_state(problem, g, rng):
-    """A greedy maximal solution or a random one; the greedy ones leave many
-    slots outside the dual's F, and the sparse ones keep some unselected
-    slots in it."""
+    """A greedy maximal solution or a random one mapped into the region; the
+    greedy ones leave many slots outside the dual's F, and the sparse ones
+    keep some unselected slots in it."""
     if problem == "classic":
         if rng.random() < 0.5:
             return greedy_maximal_matching(g, rng)
-        return (rng.random(g.m) < rng.random() / 2).astype(np.uint8)
+        return in_region(problem, (rng.random(g.m) < rng.random() / 2).astype(np.uint8), g)
     if rng.random() < 0.5:
         return greedy_maximal_dual(g, rng)
-    return rng.integers(0, 3, size=g.m).astype(np.int64)
+    return in_region(problem, rng.integers(0, 3, size=g.m).astype(np.int64), g)
 
 
 @pytest.mark.parametrize("problem", ["weighted"])
@@ -322,10 +340,8 @@ def _build_cases(problem, rng):
 @pytest.mark.parametrize("problem", ["classic", "weighted"])
 def test_one_pass_build_equals_an_engine_built_by_moves(problem):
     # the constructor's single pass against an empty engine raised to the
-    # same solution by its own moves: counters equal, indexes equal as sets,
-    # and every counter and list entry a Python int
-    # (classic: ``mate`` equal at a matching, and valid for both elsewhere,
-    # where it may name any selected slot at a vertex)
+    # same solution by its own moves: counters and ``mate`` equal, indexes
+    # equal as sets, and every counter and list entry a Python int
     rng = np.random.default_rng(73)
     make = _ClassicEngine if problem == "classic" else _DualEngine
     own = ("m", "accepting", "where", *(n for n in make.__slots__ if n != "law"))  # law: floats
@@ -340,7 +356,7 @@ def test_one_pass_build_equals_an_engine_built_by_moves(problem):
             else:
                 grown._delta(j, int(sol[j]))
         for name in make.__slots__:
-            if name not in ("mate", "free", "fwhere"):  # compared below
+            if name not in ("free", "fwhere"):  # compared below
                 assert getattr(built, name) == getattr(grown, name), name
         for name in own:
             value = getattr(built, name)
@@ -349,9 +365,6 @@ def test_one_pass_build_equals_an_engine_built_by_moves(problem):
         indexes = [(built.accepting, built.where, grown.accepting)]
         if problem == "classic":
             assert_mates(built.mate, sol, g)
-            assert_mates(grown.mate, sol, g)
-            if built.pairs == 0:
-                assert built.mate == grown.mate
         else:
             indexes.append((built.free, built.fwhere, grown.free))
             assert sorted(built.free) == sorted(free_slots(sol, g))
@@ -360,7 +373,7 @@ def test_one_pass_build_equals_an_engine_built_by_moves(problem):
             assert all(where[i] == p for p, i in enumerate(items))
             assert sum(p >= 0 for p in where) == len(items)
             assert set(items) == set(grown_items) and len(items) == len(grown_items)
-        assert len(built.where) == make.PER_EDGE * g.m
+        assert len(built.where) == g.m
         assert np.array_equal(built.solution(), sol)
         assert built.solution().dtype == sol.dtype
     assert 0 in sizes and max(sizes) >= 512
@@ -370,8 +383,8 @@ def test_engine_target_agrees_with_predicate():
     rng = np.random.default_rng(53)
     for _ in range(50):
         g = random_graph(rng, n_max=9, w_max=3)
-        bitsol = (rng.random(g.m) < 0.5).astype(np.uint8)
-        dualsol = rng.integers(0, 3, size=g.m).astype(np.int64)
+        bitsol = in_region("classic", (rng.random(g.m) < 0.5).astype(np.uint8), g)
+        dualsol = in_region("weighted", rng.integers(0, 3, size=g.m).astype(np.int64), g)
         assert _ClassicEngine(g, bitsol).at_target() == target_reached(bitsol, g, "classic")
         assert _DualEngine(g, dualsol).at_target() == target_reached(dualsol, g, "weighted")
 
@@ -428,20 +441,35 @@ def test_run_once_recertifies_a_reported_target(monkeypatch, tmp_path):
     assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 4
 
 
-def test_classic_ea_must_start_at_a_matching(monkeypatch, tmp_path):
-    # the classic EA's events hold every step that can change the state only
-    # at a matching: a start with adjacent selected edges is refused, as an
-    # error record and a sweep that exits 4; RLS does not need one
-    monkeypatch.setattr("dynvc.harness.greedy_maximal_matching",
-                        lambda g, rng=None: np.ones(g.m, dtype=np.uint8))
-    task = base_task(init="greedy", keep_final=False)
+def test_engines_refuse_starts_outside_the_region(p3, p3w):
     with pytest.raises(ValueError, match="must start at a matching"):
-        run_once(task)
-    rec = _run_task_safe(task)
-    assert rec.error and not rec.target_reached
-    assert run_once(base_task(init="greedy", algo="rls")).target_reached
+        _ClassicEngine(p3, np.array([1, 1], dtype=np.uint8))
+    with pytest.raises(ValueError, match="must start at a feasible dual"):
+        _DualEngine(p3w, np.array([2, 0], dtype=np.int64))  # vertex 1: load 2 > 1
+    assert _ClassicEngine(p3, np.array([0, 1], dtype=np.uint8)).at_target()
+    assert _DualEngine(p3w, np.array([1, 1], dtype=np.int64)).at_target()
+
+
+@pytest.mark.parametrize("problem", ["classic", "weighted"])
+def test_runs_must_start_in_the_region(problem, monkeypatch, tmp_path):
+    # the engines model only the region the searches keep to, matchings and
+    # feasible duals: an EA or RLS start outside it (adjacent selected
+    # edges, an overloaded vertex) is refused, as an error record and a
+    # sweep that exits 4
+    if problem == "classic":
+        monkeypatch.setattr("dynvc.harness.greedy_maximal_matching",
+                            lambda g, rng=None: np.ones(g.m, dtype=np.uint8))
+    else:
+        monkeypatch.setattr("dynvc.harness.greedy_maximal_dual",
+                            lambda g, rng=None: np.full(g.m, g.w_max + 1, dtype=np.int64))
+    for algo in ("ea", "rls"):
+        task = base_task(problem=problem, algo=algo, init="greedy", keep_final=False)
+        with pytest.raises(ValueError, match="must start at a"):
+            run_once(task)
+        rec = _run_task_safe(task)
+        assert rec.error and not rec.target_reached
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("family = path\nsizes = 8\ninit = greedy\njobs = 1\n")
+    cfg.write_text(f"family = path\nsizes = 8\nproblem = {problem}\ninit = greedy\njobs = 1\n")
     assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 4
 
 

@@ -15,11 +15,11 @@ from dynvc.harness import records_to_csv, traces_to_csv
 
 PINNED = {
     ("classic", "ea", "onetime"): "86fe5b1c869177a7",
-    ("classic", "ea", "prob"): "48433405d3d45419",
+    ("classic", "ea", "prob"): "fb136ba25af7d1c6",
     ("classic", "rls", "onetime"): "ead91daf532907a2",
     ("classic", "rls", "prob"): "3bd297eebf9d4050",
-    ("weighted", "ea", "onetime"): "7a37a72edfe7dc29",
-    ("weighted", "ea", "prob"): "e7073c95656c0ac0",
+    ("weighted", "ea", "onetime"): "a736bbf920efabe5",
+    ("weighted", "ea", "prob"): "3bf2bf6851a199ec",
     ("weighted", "rls", "onetime"): "dd8105316c3e60fa",
     ("weighted", "rls", "prob"): "3a98f8e9ef18ce17",
 }
