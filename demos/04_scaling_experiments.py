@@ -14,7 +14,7 @@ sizes = (32, 64, 128, 256)
 cfg = ExperimentConfig(family="path", sizes=sizes, problem="weighted",
                        algo="rls", setting="onetime",
                        policy="delete_positive", wmax=8, reps=100, seed=42,
-                       jobs=2, keep_final=False)
+                       jobs=2)
 records = run_sweep(cfg)
 
 print("weighted single-edge search, one deleted edge, 100 reps per size:")

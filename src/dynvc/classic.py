@@ -31,7 +31,8 @@ def empty_solution(g: Graph) -> np.ndarray:
 
 def _check_len(sol: np.ndarray, g: Graph) -> None:
     if sol.shape[0] != g.m:
-        raise ValueError(f"solution length {sol.shape[0]} != edge count {g.m}")
+        raise ValueError(f"solution length mismatch: {sol.shape[0]} entries "
+                         f"for {g.m} edges")
 
 
 def cover_set(sol: np.ndarray, g: Graph) -> set[int]:

@@ -7,34 +7,34 @@ builds the state and its indexes in one vectorised numpy pass over the
 graph's cached edge arrays, and hands every list to the step loop as Python
 ints.
 
-Region lemma. The classic search stays at a matching (no two selected
-slots share a vertex) and the dual search at a feasible dual (no load above
-its vertex's weight). Starts: the zero vector lies in both regions, the
-greedy starts are a maximal matching and a feasible dual, and an engine
-refuses any other start with ``ValueError``. Steps: the fitness puts the
-adjacent selected pairs (classic) or the violations (dual) first, and they
-are 0 in the region, so an accepted mutant has none and lies in the region.
-Edge changes: a deletion first deselects its slot or lowers its weight to
-0, which leaves a sub-matching or lower loads, and an addition appends a
-slot at 0, which selects nothing and loads nothing. So each engine models
-the region only.
+One model serves both searches, in slack terms. Slot j holds s[j] >= 0 (a
+0/1 selection, or a dual weight), and a vertex's ``room`` is its capacity
+minus its load, the sum of s over its slots; the capacity is 1 for the
+classic search and the vertex weight for the dual (0 at vertex 0, which is
+no vertex). A matching is a feasible dual at unit capacities, and a matched
+vertex a tight one.
 
-In the region a vertex is covered iff it is matched (``mate``, per vertex
-the selected slot there, else -1) or tight (load == weight). An edge is
-then uncovered iff neither endpoint is, and that is exactly when its single
-accepting move exists: selecting it, or its +1. No other single move is
-accepted: a deselection uncovers its own slot, and a -1 lowers the total
-without covering anything. The index ``accepting`` holds those slots, so
-it also counts the uncovered edges; an index gives O(1) membership and
-uniform sampling, and it is repaired on the incidence walks that an
-accepted move or an edge change pays, in O(1) per touched edge. A one-move
-step is decided by one lookup. A step of k >= 2 moves is decided in O(k)
-when it leaves the region, and when it keeps every cover status (dual);
-otherwise ``try_moves`` applies it and reverts it on rejection, in
-O(k deg). It applies the removals (deselections, -1s) before the additions
-and reverts in the reverse order, so every state it passes through lies in
-the region: the removals leave a sub-matching or lower loads, and each
-addition moves toward the mutant, which the O(k) check found in the region.
+Region lemma. Each search keeps room >= 0 at every vertex (a matching, a
+feasible dual). The zero vector and the greedy starts have it, and an
+engine refuses any other start with ``ValueError``. The fitness puts the
+adjacent selected pairs or the violations first, and they are 0 exactly
+there, so an accepted mutant keeps it. An edge deletion first lowers its
+slot to 0, which only adds room, and an addition appends a slot at 0.
+
+In the region a vertex is covered iff its room is 0, and a slot is
+accepting iff both its endpoints have room: its edge is uncovered, and its
++1 (selecting it) is the one single move accepted there. A -1 (a
+deselection) alone uncovers its own slot or lowers the total without
+covering anything. The index ``accepting`` holds those slots, so it also
+counts the uncovered edges; it gives O(1) membership and uniform sampling,
+and is repaired in O(1) per edge on the incidence walks that an accepted
+move or an edge change pays. A step of k >= 2 moves is decided in O(k)
+when it takes some room below 0, and when it turns no vertex covered or
+uncovered: uncovered then stays and the total moves by the sum of the
+steps. Otherwise ``try_moves`` applies it, removals (-1s) first, and
+reverts it in the reverse order on rejection, in O(k deg); every state it
+passes through lies in the region, since the removals only add room and
+each addition moves toward the mutant, which the O(k) check found there.
 
 The run loop jumps over the steps that cannot change the state. Each
 engine names the events that hold every step that can (``ea_rate``,
@@ -55,8 +55,10 @@ its parent or has more violations. Every accepting single move lies in F.
 
 The pure step functions in :mod:`dynvc.classic` and :mod:`dynvc.weighted`
 and the array path of :func:`dynvc.dynamics.apply_change` define the
-semantics; :meth:`step` replicates them draw-for-draw on the region and is
-differentially tested against them.
+semantics. The test helper ``conftest.engine_step`` replays their draws on
+an engine (a single move is kept iff it is accepting, and k >= 2 moves go
+to ``try_moves``), and the engines are differentially tested against them
+through it.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ import math
 
 import numpy as np
 
-from .classic import _flip_positions
 from .graph import Graph, GraphError
 from .weighted import loads
 
@@ -132,12 +133,27 @@ def _hit_count(n: int, m: int, miss: float, u: float, least: int) -> int:
 
 
 class _Engine:
-    """The index of accepting slots, the step that reads it and the RLS
-    event law; the subclasses define the moves (``moves_at``, ``_refresh``,
-    ``apply`` for the accepting move of a slot, ``try_move`` for one drawn
-    move, ``try_moves``) and the EA event law (``ea_rate``, ``ea_event``)."""
+    """The region state of both searches: slot values ``s``, ``room`` per
+    vertex, ``total`` and the index of accepting slots, with its moves, edge
+    changes and RLS event law. A subclass sets the capacity, decodes a
+    step's hits into (slot, +-1) steps and defines its EA event law.
+    ``SIGN`` and ``STRICT`` set the acceptance rule: keep a step iff
+    (uncovered, SIGN * total) falls, or stays and ``STRICT`` is off."""
 
-    __slots__ = ("g", "m", "eu", "ev", "inc", "accepting", "where")
+    __slots__ = ("g", "m", "eu", "ev", "inc", "s", "room", "total", "accepting", "where")
+    SIGN = 1
+    STRICT = False
+
+    def __init__(self, g: Graph, sol: np.ndarray, room: np.ndarray):
+        self.g = g
+        self.m = g.m
+        self.eu, self.ev = g.endpoint_lists()
+        self.inc = g.incidence_lists()
+        eu, ev = g.edge_arrays()
+        self.s = sol.tolist()
+        self.room = room.tolist()
+        self.total = int(sol.sum())
+        self.accepting, self.where = _index((room[eu] > 0) & (room[ev] > 0))
 
     def rls_rate(self) -> float:
         """The chance that an RLS step draws an accepting move."""
@@ -147,42 +163,102 @@ class _Engine:
         """Make one accepting move, uniform over the index."""
         self.apply(self.accepting[int(uniform() * len(self.accepting))])
 
-    def step(self, variant: str, rng: np.random.Generator) -> None:
-        """One step of the pure ``step_*``, with its draws: a single move is
-        kept iff it is accepting, and k >= 2 moves go to ``try_moves``."""
-        m = self.m
-        if m == 0:
-            return
-
-        def coin() -> int:
-            return int(rng.integers(2))
-
-        if variant == "rls":
-            moves = self.moves_at([int(rng.integers(m))], coin)
-        else:
-            moves = self.moves_at(_flip_positions(rng, m, 1.0 / m), coin)
-        if len(moves) > 1:
-            self.try_moves(moves)
-        elif moves:
-            self.try_move(moves[0])
-
     def at_target(self) -> bool:
         return not self.accepting
+
+    def trace_sample(self) -> tuple[int, int]:
+        return (len(self.accepting), self.total)
+
+    def _refresh(self, e: int) -> None:
+        room = self.room
+        flag = room[self.eu[e]] > 0 and room[self.ev[e]] > 0
+        if flag != (self.where[e] >= 0):
+            _mark(self.accepting, self.where, e, flag)
+
+    def _delta(self, j: int, d: int) -> None:
+        """Add ``d`` to slot j's value; callers keep it at zero or above and
+        every room at zero or above."""
+        self.s[j] += d
+        self.total += d
+        room, inc, refresh = self.room, self.inc, self._refresh
+        for x in (self.eu[j], self.ev[j]):
+            old = room[x]
+            room[x] = old - d
+            if (old == 0) != (old == d):  # x turns covered or uncovered
+                for e in inc[x]:
+                    refresh(e)
+        refresh(j)
+
+    def apply(self, j: int) -> None:
+        """Make the accepting move of slot j: its +1."""
+        self._delta(j, 1)
+
+    def try_moves(self, steps: list[tuple[int, int]]) -> None:
+        """Apply the (slot, +-1) steps, on distinct slots with the removals
+        first, iff the acceptance rule keeps the result. It leaves the region
+        iff some vertex loses more room than it has. Otherwise, when no vertex
+        turns covered or uncovered, uncovered stays and total moves by the
+        sum of the steps, decided in O(k); else the steps are applied in
+        order and reverted in the reverse order on rejection."""
+        room, eu, ev = self.room, self.eu, self.ev
+        shift: dict[int, int] = {}
+        for j, d in steps:
+            for x in (eu[j], ev[j]):
+                shift[x] = shift.get(x, 0) + d
+        cover_changes = False
+        for x, d in shift.items():
+            old = room[x]
+            if d > old:
+                return  # out of the region: adjacent selected slots, or a violation
+            cover_changes = cover_changes or (old == 0) != (old == d)
+        if cover_changes:
+            cur = (len(self.accepting), self.SIGN * self.total)
+            for j, d in steps:
+                self._delta(j, d)
+            new = (len(self.accepting), self.SIGN * self.total)
+            if new > cur or self.STRICT and new == cur:
+                for j, d in reversed(steps):
+                    self._delta(j, -d)
+        else:
+            fall = self.SIGN * sum(d for _, d in steps)
+            if fall < 0 or not self.STRICT and fall == 0:
+                for j, d in steps:
+                    self._delta(j, d)
+
+    def add_edge(self, u: int, v: int) -> int:
+        """Add edge {u, v} to the graph at value 0; return its slot."""
+        j = self.g.add_edge(u, v)
+        self.s.append(0)
+        self.where.append(-1)
+        self.m += 1
+        _Engine._refresh(self, j)  # a subclass's own index grows in its add_edge
+        return j
+
+    def remove_edge(self, index: int) -> None:
+        """Remove the edge at ``index``, taking its value off its endpoints
+        first; the last slot moves into ``index``, as in the graph."""
+        if not 0 <= index < self.m:
+            raise GraphError(f"edge index {index} out of range 0..{self.m - 1}")
+        if self.s[index]:
+            self._delta(index, -self.s[index])
+        self.g.remove_edge(index)
+        self.s[index] = self.s[-1]
+        self.s.pop()
+        _drop(self.accepting, self.where, index)
+        self.m -= 1
 
 
 class _ClassicEngine(_Engine):
     """A matching with O(touched) updates; semantics of fitness_classic.
 
-    Selecting slot j alone is accepted iff both its endpoints are free.
+    Every vertex has capacity 1, so a selected slot's endpoints have no room
+    and selecting slot j alone is accepted iff both its endpoints are free.
+    ``mate`` holds per vertex its selected slot, else -1.
     """
 
-    __slots__ = ("bits", "mate", "selected")
+    __slots__ = ("mate",)
 
     def __init__(self, g: Graph, sol: np.ndarray):
-        self.g = g
-        self.m = g.m
-        self.eu, self.ev = g.endpoint_lists()
-        self.inc = g.incidence_lists()
         eu, ev = g.edge_arrays()
         chosen = sol.nonzero()[0]
         mate = np.full(g.n + 1, -1, dtype=np.int64)
@@ -192,39 +268,20 @@ class _ClassicEngine(_Engine):
         if np.count_nonzero(~free) < 2 * len(chosen):
             raise ValueError("the classic engine must start at a matching, "
                              "but its start selects adjacent edges")
-        self.bits = sol.tolist()
+        free[0] = False  # vertex 0 is no vertex: capacity 0, as in g.weights
+        super().__init__(g, sol, free.astype(np.int64))
         self.mate = mate.tolist()
-        self.selected = len(chosen)
-        self.accepting, self.where = _index(free[eu] & free[ev])
 
-    def moves_at(self, slots: list[int], coin) -> list[int]:
-        """The moves that hit ``slots``; a classic move draws no coin."""
-        return slots
+    def _delta(self, j: int, d: int) -> None:
+        """Select (d = 1) or deselect (d = -1) slot j."""
+        mate = self.mate
+        mate[self.eu[j]] = mate[self.ev[j]] = j if d > 0 else -1
+        _Engine._delta(self, j, d)
 
-    def _refresh(self, e: int) -> None:
-        flag = self.mate[self.eu[e]] < 0 and self.mate[self.ev[e]] < 0
-        if flag != (self.where[e] >= 0):
-            _mark(self.accepting, self.where, e, flag)
-
-    def _flip(self, j: int) -> None:
-        """Select or deselect slot j; the caller keeps the state a matching."""
-        bits, mate, inc, refresh = self.bits, self.mate, self.inc, self._refresh
-        if bits[j]:
-            bits[j], sel = 0, -1
-            self.selected -= 1
-        else:
-            bits[j], sel = 1, j
-            self.selected += 1
-        for x in (self.eu[j], self.ev[j]):
-            mate[x] = sel
-            for e in inc[x]:
-                refresh(e)
-
-    apply = _flip
-
-    def try_move(self, j: int) -> None:
-        if self.where[j] >= 0:
-            self._flip(j)
+    def flips(self, hits: list[int]) -> list[tuple[int, int]]:
+        """The steps that flip the distinct slots ``hits``, deselections first."""
+        s = self.s
+        return [(j, -1) for j in hits if s[j]] + [(j, 1) for j in hits if not s[j]]
 
     def _mu(self, t: int) -> int:
         """The selected slot at the first endpoint of slot t that has one, or -1."""
@@ -239,21 +296,21 @@ class _ClassicEngine(_Engine):
         if not m:
             return 0.0
         a = len(self.accepting)
-        return (a + (m - self.selected - a) / m) / m
+        return (a + (m - self.total - a) / m) / m
 
     def ea_event(self, uniform, coin) -> None:
         """One proposal, by the union sampler of Karp, Luby and Madras: pick t
         with chance P(E'_t) / Lambda, draw a step's hit set H given E'_t, and
         keep it with chance 1/c(H), c(H) the number of events E'_t' that H
         satisfies; a kept H comes with exactly its chance P(H) per step."""
-        m, accepting, bits, where = self.m, self.accepting, self.bits, self.where
+        m, accepting, s, where = self.m, self.accepting, self.s, self.where
         a = len(accepting)
-        r = m - self.selected - a
+        r = m - self.total - a
         if uniform() * (a * m + r) < a * m:  # P(E'_t) = 1/m: t is accepting
             hits = [accepting[int(uniform() * a)]]
         else:  # P(E'_t) = 1/m^2: an unselected t with a selected neighbour mu(t)
             t = int(uniform() * m)
-            while bits[t] or where[t] >= 0:
+            while s[t] or where[t] >= 0:
                 t = int(uniform() * m)
             hits = [t, self._mu(t)]
         rest = m - len(hits)
@@ -267,98 +324,53 @@ class _ClassicEngine(_Engine):
             self.apply(hits[0])
             return
         c = sum(1 for j in hits
-                if not bits[j] and (where[j] >= 0 or self._mu(j) in hits))
+                if not s[j] and (where[j] >= 0 or self._mu(j) in hits))
         if c == 1 or uniform() * c < 1:
-            self.try_moves(hits)
-
-    def try_moves(self, moves: list[int]) -> None:
-        """Flip the distinct slots ``moves`` iff the fitness does not worsen:
-        iff no vertex ends with two selected slots, and then the flips do not
-        raise (uncovered, cover size)."""
-        bits, mate, eu, ev = self.bits, self.mate, self.eu, self.ev
-        ends: dict[int, int] = {}  # selected slots at each touched vertex after
-        for j in moves:
-            s = -1 if bits[j] else 1
-            for x in (eu[j], ev[j]):
-                ends[x] = ends.get(x, mate[x] >= 0) + s
-        if max(ends.values()) > 1:
-            return
-        order = [j for j in moves if bits[j]] + [j for j in moves if not bits[j]]
-        cur = (len(self.accepting), self.selected)  # uncovered, half the cover size
-        for j in order:
-            self._flip(j)
-        if (len(self.accepting), self.selected) > cur:
-            for j in reversed(order):
-                self._flip(j)
-
-    def add_edge(self, u: int, v: int) -> int:
-        """Add edge {u, v} to the graph, unselected; return its slot."""
-        j = self.g.add_edge(u, v)
-        self.bits.append(0)
-        self.where.append(-1)
-        self.m += 1
-        self._refresh(j)
-        return j
+            self.try_moves(self.flips(hits))
 
     def remove_edge(self, index: int) -> None:
-        """Remove the edge at ``index``, deselecting it first."""
-        if not 0 <= index < self.m:
-            raise GraphError(f"edge index {index} out of range 0..{self.m - 1}")
-        if self.bits[index]:
-            self._flip(index)
-        last = self.m - 1
-        self.g.remove_edge(index)
-        if self.bits[last]:  # the last slot, now named index, is its ends' mate
+        super().remove_edge(index)
+        if index < self.m and self.s[index]:  # the last slot, now named index
             self.mate[self.eu[index]] = self.mate[self.ev[index]] = index
-        self.bits[index] = self.bits[last]
-        self.bits.pop()
-        _drop(self.accepting, self.where, index)
-        self.m -= 1
-
-    def fitness(self) -> tuple[int, int, int]:
-        return (0, len(self.accepting), 2 * self.selected)
-
-    def trace_sample(self) -> tuple[int, int]:
-        return (len(self.accepting), self.selected)
 
     def solution(self) -> np.ndarray:
-        return np.frombuffer(bytes(self.bits), np.uint8).copy()
+        return np.frombuffer(bytes(self.s), np.uint8).copy()
 
 
 class _DualEngine(_Engine):
     """A feasible dual with O(touched) updates; semantics of fitness_weighted.
 
-    A +1 on edge j alone is accepted iff neither endpoint is tight; moves
-    are 2j for the +1 and 2j + 1 for the -1 on edge j, and the index holds
-    the slots whose +1 is accepting.
+    Every vertex has its weight as capacity, so a tight vertex has no room,
+    and a +1 on slot j alone is accepted iff neither endpoint is tight. The
+    index ``free`` (positions ``fwhere``) holds the slots F.
     """
 
-    __slots__ = ("w", "s", "load", "total", "free", "fwhere", "law")
+    __slots__ = ("free", "fwhere", "law")
+    SIGN = -1
+    STRICT = True
 
     def __init__(self, g: Graph, sol: np.ndarray):
-        self.g = g
-        self.m = g.m
-        self.eu, self.ev = g.endpoint_lists()
-        self.inc = g.incidence_lists()
-        eu, ev = g.edge_arrays()
-        load = loads(sol, g)
-        slack = g.weights - load  # vertex 0 has weight 0, no edge
-        over = int(np.count_nonzero(slack < 0))
+        room = g.weights - loads(sol, g)  # vertex 0 has weight 0, no edge
+        over = int(np.count_nonzero(room < 0))
         if over:
             raise ValueError("the dual engine must start at a feasible dual, "
                              f"but its start overloads {over} vertices")
-        up = (slack[eu] > 0) & (slack[ev] > 0)
-        self.w = g.weights.tolist()
-        self.s = sol.tolist()
-        self.load = load.tolist()
-        self.total = int(sol.sum())
-        self.accepting, self.where = _index(up)
-        self.free, self.fwhere = _index((sol > 0) | up)
+        super().__init__(g, sol, room)
+        eu, ev = g.edge_arrays()
+        self.free, self.fwhere = _index((sol > 0) | (room[eu] > 0) & (room[ev] > 0))
         self.law = (0.0, 0.0, 0, 0.0)  # set by ea_rate
 
-    def moves_at(self, slots: list[int], coin) -> list[int]:
-        """The moves that hit ``slots``, each with a fair ``coin()``: 0 means +1."""
-        return [2 * j + coin() for j in slots]
+    def signs(self, pos: list[int], coin) -> list[tuple[int, int]]:
+        """The steps of the distinct slots ``pos``, each with a fair ``coin()``
+        for a -1, -1s first; a -1 at value 0 is clamped away."""
+        s = self.s
+        downs, ups = [], []
+        for j in pos:
+            if not coin():
+                ups.append((j, 1))
+            elif s[j]:
+                downs.append((j, -1))
+        return downs + ups
 
     def rls_rate(self) -> float:
         """The chance a/(2m) that an RLS step draws the +1 of an accepting slot."""
@@ -405,97 +417,28 @@ class _DualEngine(_Engine):
             j = int(uniform() * m)
             if fwhere[j] < 0 and j not in pos:
                 pos.append(j)
-        self.try_moves(self.moves_at(pos, coin))
+        self.try_moves(self.signs(pos, coin))
 
     def _refresh(self, e: int) -> None:
-        load, w = self.load, self.w
-        u, v = self.eu[e], self.ev[e]
-        up = load[u] < w[u] and load[v] < w[v]
+        # the base refresh, inlined: calling it cost about 6 % of the time
+        # of weighted-EA sweeps (in-process, shared 2-core Linux host)
+        room = self.room
+        up = room[self.eu[e]] > 0 and room[self.ev[e]] > 0
         if up != (self.where[e] >= 0):
             _mark(self.accepting, self.where, e, up)
         flag = up or self.s[e] > 0
         if flag != (self.fwhere[e] >= 0):
             _mark(self.free, self.fwhere, e, flag)
 
-    def _delta(self, j: int, d: int) -> None:
-        """Add ``d`` to edge j's weight; callers keep it at zero or above and
-        every load at most its weight."""
-        self.s[j] += d
-        self.total += d
-        load, w, inc, refresh = self.load, self.w, self.inc, self._refresh
-        for x in (self.eu[j], self.ev[j]):
-            old = load[x]
-            load[x] = old + d
-            if (old == w[x]) != (old + d == w[x]):  # x turns tight or slack
-                for e in inc[x]:
-                    refresh(e)
-        refresh(j)
-
-    def apply(self, j: int) -> None:
-        self._delta(j, 1)
-
-    def try_move(self, move: int) -> None:
-        if not move & 1 and self.where[move >> 1] >= 0:
-            self.apply(move >> 1)
-
-    def try_moves(self, moves: list[int]) -> None:
-        """Apply the moves of distinct edges iff the fitness strictly improves;
-        a -1 at weight 0 is clamped away. That holds iff no load passes its
-        weight and then (-uncovered, total) rises."""
-        s, eu, ev, load, w = self.s, self.eu, self.ev, self.load, self.w
-        steps = ([(mv >> 1, -1) for mv in moves if mv & 1 and s[mv >> 1]]
-                 + [(mv >> 1, 1) for mv in moves if not mv & 1])  # -1s first
-        if not steps:
-            return  # the mutant equals the parent, which is never strictly better
-        shift: dict[int, int] = {}
-        for j, d in steps:
-            for x in (eu[j], ev[j]):
-                shift[x] = shift.get(x, 0) + d
-        cover_changes = False  # does some vertex turn tight or slack?
-        for x, d in shift.items():
-            old = load[x] - w[x]
-            if old + d > 0:
-                return  # a violation
-            cover_changes = cover_changes or (old == 0) != (old + d == 0)
-        if cover_changes:  # compare uncovered, then total
-            cur = (len(self.accepting), -self.total)
-            for j, d in steps:
-                self._delta(j, d)
-            if (len(self.accepting), -self.total) >= cur:
-                for j, d in reversed(steps):
-                    self._delta(j, -d)
-        elif sum(d for _, d in steps) > 0:
-            for j, d in steps:
-                self._delta(j, d)
-
     def add_edge(self, u: int, v: int) -> int:
-        """Add edge {u, v} to the graph with weight 0; return its slot."""
-        j = self.g.add_edge(u, v)
-        self.s.append(0)
-        self.where.append(-1)
+        j = super().add_edge(u, v)
         self.fwhere.append(-1)
-        self.m += 1
         self._refresh(j)
         return j
 
     def remove_edge(self, index: int) -> None:
-        """Remove the edge at ``index``, taking its weight off its endpoints first."""
-        if not 0 <= index < self.m:
-            raise GraphError(f"edge index {index} out of range 0..{self.m - 1}")
-        if self.s[index]:
-            self._delta(index, -self.s[index])
-        self.g.remove_edge(index)
-        self.s[index] = self.s[-1]
-        self.s.pop()
-        _drop(self.accepting, self.where, index)
+        super().remove_edge(index)
         _drop(self.free, self.fwhere, index)
-        self.m -= 1
-
-    def fitness(self) -> tuple[int, int, int]:
-        return (0, len(self.accepting), self.total)
-
-    def trace_sample(self) -> tuple[int, int]:
-        return (len(self.accepting), self.total)
 
     def solution(self) -> np.ndarray:
         return np.array(self.s, dtype=np.int64)

@@ -251,7 +251,6 @@ class RunTask:
     budget: int
     stride: int
     want_trace: bool
-    keep_final: bool = True
 
 
 @functools.lru_cache(maxsize=1)
@@ -308,13 +307,9 @@ def run_once(task: RunTask) -> RunRecord:
     steps are counted in ``steps_to_target`` and the budget as the steps
     they stand for, and trace rows for the skipped boundaries are written
     in bulk. This samples the same Markov chain as a per-step loop over
-    ``engine.step``, but not from the same random stream; the EA's stream
-    changed when it began to thin multi-hit steps by F, the classic EA's
-    again when its events moved to the union of the E'_t, and the EA's
-    records again when tied multi-move steps began to apply their removals
-    first; the RLS stream did not. A reached target is re-certified by a
-    full evaluation of the final solution; a mismatch raises
-    ``ValueError``.
+    the pure step functions, but not from the same random stream. A reached
+    target is re-certified by a full evaluation of the final solution; a
+    mismatch raises ``ValueError``.
     """
     g = _instance(task.source).copy()
     rng = spawn_rng(task.master_seed, task.run_index)
@@ -406,7 +401,7 @@ def run_once(task: RunTask) -> RunRecord:
         t = stop
 
     reached = target_time is not None
-    final = engine.solution() if reached or task.keep_final else None
+    final = engine.solution()
     # the engine's target is re-certified by a full evaluation, in one O(m) pass
     if reached and not target_reached(final, g, task.problem):
         raise ValueError(f"run {task.run_index}: the target reported at step "
@@ -419,8 +414,7 @@ def run_once(task: RunTask) -> RunRecord:
         steps_to_target=target_time if reached else t,
         target_reached=reached, budget=task.budget, trace=trace,
         reopt_spans=spans, n_changes=n_changes,
-        final_solution=final if task.keep_final else None,
-        final_graph_text=g.to_text() if task.keep_final else None)
+        final_solution=final, final_graph_text=g.to_text())
 
 
 # -- budget expressions -----------------------------------------------------
@@ -518,7 +512,6 @@ class ExperimentConfig:
     graph_file: str | None = None
     changes_file: str | None = None
     jobs: int = 1
-    keep_final: bool = True
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
@@ -605,8 +598,7 @@ def build_tasks(cfg: ExperimentConfig) -> list[RunTask]:
                 wmax=wmax, source=source, schedule=schedule,
                 policy=DELETE_POSITIVE_POLICY if cfg.policy == "delete_positive"
                 else UNIFORM_POLICY, init=init, budget=budget,
-                stride=cfg.stride, want_trace=cfg.trace,
-                keep_final=cfg.keep_final))
+                stride=cfg.stride, want_trace=cfg.trace))
     return tasks
 
 

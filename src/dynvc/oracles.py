@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .classic import fitness_classic
 from .graph import Graph
-from .weighted import loads
+from .weighted import fitness_weighted, loads
 
 VC_MAX_N = 24        # exact_min_vc enumeration cap
 DUAL_MAX_M = 12      # dual enumeration caps
@@ -25,29 +26,12 @@ class OracleError(ValueError):
 
 def is_matching(sol: np.ndarray, g: Graph) -> bool:
     """No two selected edges share an endpoint."""
-    if sol.shape[0] != g.m:
-        raise ValueError("solution length mismatch")
-    if g.m == 0:
-        return True
-    eu, ev = g.edge_arrays()
-    mask = sol != 0
-    deg = (np.bincount(eu[mask], minlength=g.n + 1)
-           + np.bincount(ev[mask], minlength=g.n + 1))
-    return bool((deg <= 1).all())
+    return fitness_classic(sol, g).pairs == 0
 
 
 def is_maximal_matching(sol: np.ndarray, g: Graph) -> bool:
     """A matching whose endpoints touch every edge (no edge can be added)."""
-    if not is_matching(sol, g):
-        return False
-    if g.m == 0:
-        return True
-    eu, ev = g.edge_arrays()
-    mask = sol != 0
-    covered = np.zeros(g.n + 1, dtype=bool)
-    covered[eu[mask]] = True
-    covered[ev[mask]] = True
-    return bool((covered[eu] | covered[ev]).all())
+    return fitness_classic(sol, g)[:2] == (0, 0)  # no pairs, no uncovered edge
 
 
 def _cover_bb(n: int, edges: list[tuple[int, int]], w: list[int]) -> tuple[int, int]:
@@ -125,20 +109,15 @@ def is_2_approx(cover: set[int], g: Graph) -> bool:
 
 def dual_feasible(sol: np.ndarray, g: Graph) -> bool:
     """Every vertex load stays within its weight."""
-    ld = loads(sol, g)
-    return bool((ld <= g.weights).all())
+    return fitness_weighted(sol, g).violations == 0
 
 
 def dual_maximal(sol: np.ndarray, g: Graph) -> bool:
     """No single edge weight can grow: every edge has a zero-slack endpoint."""
-    if not dual_feasible(sol, g):
+    violations, uncovered, _ = fitness_weighted(sol, g)
+    if violations:
         raise OracleError("dual_maximal requires a feasible solution")
-    ld = loads(sol, g)
-    slack = g.weights - ld
-    for u, v in g.edges():
-        if slack[u] > 0 and slack[v] > 0:
-            return False
-    return True
+    return uncovered == 0
 
 
 def _check_dual_caps(g: Graph) -> None:

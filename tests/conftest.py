@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dynvc import Graph
+from dynvc.classic import _flip_positions
+from dynvc.engine import _ClassicEngine
 from dynvc.weighted import loads
 
 
@@ -61,6 +63,40 @@ def in_region(problem, sol, g):
             slack[eu[j]] -= int(out[j])
             slack[ev[j]] -= int(out[j])
     return out
+
+
+def engine_step(engine, variant, rng):
+    """One step of the pure ``step_*`` on ``engine``, with its draws: the hit
+    slots (one uniform slot for RLS, each slot with chance 1/m for the EA),
+    and for the dual a fair coin per hit, 1 for a -1. A single move is kept
+    iff it is accepting, and k >= 2 moves go to ``try_moves``."""
+    m = engine.m
+    if m == 0:
+        return
+    hits = [int(rng.integers(m))] if variant == "rls" else _flip_positions(rng, m, 1.0 / m)
+    if isinstance(engine, _ClassicEngine):
+        steps = engine.flips(hits)
+    else:
+        steps = engine.signs(hits, lambda: int(rng.integers(2)))
+    if len(hits) > 1:
+        engine.try_moves(steps)
+    elif steps and steps[0][1] > 0 and engine.where[hits[0]] >= 0:  # an accepting +1
+        engine.apply(hits[0])
+
+
+def engine_fitness(engine):
+    """The pure fitness triple that an engine's ``trace_sample`` stands for in
+    its region: no adjacent selected pairs or violations, and for the
+    classic search two cover vertices per selected slot."""
+    uncovered, total = engine.trace_sample()
+    return (0, uncovered, 2 * total if isinstance(engine, _ClassicEngine) else total)
+
+
+def room(problem, sol, g):
+    """Per vertex, capacity minus load by their definition: the capacity is
+    the vertex weight for the dual, and at most 1 for the classic search."""
+    cap = g.weights if problem == "weighted" else np.minimum(g.weights, 1)
+    return (cap - loads(sol, g)).tolist()
 
 
 def assert_mates(mate, sol, g):

@@ -170,7 +170,7 @@ def test_c04_deletion_reoptimization_linear():
         cfg = ExperimentConfig(family=family, sizes=sizes, problem="classic",
                                algo="ea", setting="onetime",
                                policy="delete_positive", reps=200, seed=2024,
-                               budget="auto", jobs=JOBS, keep_final=False)
+                               budget="auto", jobs=JOBS)
         recs = _sweep(cfg)
         sweeps.append(recs)
         for row in summarize(recs):
@@ -191,7 +191,7 @@ def test_c05_probabilistic_from_scratch():
         cfg = ExperimentConfig(family=family, sizes=sizes, problem="classic",
                                algo="ea", setting="prob", pd="auto_thm2",
                                init="zeros", reps=200, seed=500, budget="auto",
-                               jobs=JOBS, keep_final=False)
+                               jobs=JOBS)
         recs = _sweep(cfg)
         sweeps.append(recs)
         worst_reach = min(worst_reach,
@@ -211,7 +211,7 @@ def test_c06_probabilistic_reoptimization():
                                algo="ea", setting="prob", pd="auto_thm2",
                                init="greedy", policy="delete_positive",
                                initial_change=True, reps=200, seed=600,
-                               budget="auto", jobs=JOBS, keep_final=False)
+                               budget="auto", jobs=JOBS)
         sweeps.append(_sweep(cfg))
     pooled = _pooled_means(sweeps, values=lambda r: r.reopt_spans)
     spans = sum(len(r.reopt_spans) for recs in sweeps for r in recs)
@@ -225,7 +225,7 @@ def test_c07_weighted_rls_scaling():
     cfg = ExperimentConfig(family="path", sizes=(32, 64, 128, 256),
                            problem="weighted", algo="rls", setting="onetime",
                            policy="delete_positive", wmax=8, reps=200,
-                           seed=700, budget="auto", jobs=JOBS, keep_final=False)
+                           seed=700, budget="auto", jobs=JOBS)
     rows = summarize(_sweep(cfg))
     slope_m = fit_scaling([(row["m"], row["mean"]) for row in rows])
     pts = []
@@ -233,8 +233,7 @@ def test_c07_weighted_rls_scaling():
         cfg = ExperimentConfig(family="path", sizes=(64,), problem="weighted",
                                algo="rls", setting="onetime",
                                policy="delete_positive", wmax=wmax, reps=200,
-                               seed=300 + wmax, budget="auto", jobs=JOBS,
-                               keep_final=False)
+                               seed=300 + wmax, budget="auto", jobs=JOBS)
         pts.append((wmax, summarize(_sweep(cfg))[0]["mean"]))
     slope_w = fit_scaling(pts)
     ok = 0.7 <= slope_m <= 1.3 and 0.7 <= slope_w <= 1.3
@@ -249,7 +248,7 @@ def test_c08_weighted_ea_phase_bound():
                            algo="ea", setting="onetime",
                            policy="delete_positive", wmax=8, reps=200,
                            seed=800, budget="3*(2*e*opt*m + 10*(e**2)*m*m)",
-                           jobs=JOBS, keep_final=False)
+                           jobs=JOBS)
     recs = _sweep(cfg)
     by_size = {}
     for r in recs:
@@ -273,13 +272,13 @@ def test_c09_weighted_probabilistic():
     cfg = ExperimentConfig(family="gnp", sizes=sizes, problem="weighted",
                            algo="rls", setting="prob", pd="auto_thm7",
                            init="zeros", wmax=8, reps=200, seed=900,
-                           budget="50*opt*m", jobs=JOBS, keep_final=False)
+                           budget="50*opt*m", jobs=JOBS)
     rls_reach = min(r["reached"] for r in summarize(_sweep(cfg)))
     cfg = ExperimentConfig(family="gnp", sizes=sizes, problem="weighted",
                            algo="ea", setting="prob", pd="auto_thm9",
                            init="zeros", wmax=8, reps=200, seed=901,
                            budget="5*1.1*(2*e*opt*m + 10*(e**2)*m*m)",
-                           jobs=JOBS, keep_final=False)
+                           jobs=JOBS)
     ea_reach = min(r["reached"] for r in summarize(_sweep(cfg)))
     ok = rls_reach >= 0.95 and ea_reach >= 0.95
     _report("C9 weighted-probabilistic", ok,

@@ -10,7 +10,7 @@ from dynvc.engine import _ClassicEngine
 from dynvc.harness import greedy_maximal_matching
 from dynvc.oracles import is_2_approx, is_maximal_matching
 
-from conftest import ForcedRng, flip_mask_draws, random_graph
+from conftest import ForcedRng, engine_step, flip_mask_draws, random_graph
 from scalars import classic_components, scalar_classic
 
 
@@ -154,19 +154,19 @@ def test_matching_preserved_and_uncovered_monotone():
         eng = _ClassicEngine(g, greedy_maximal_matching(g, rng))
         # knock a few edges out to leave room for progress
         for j in range(g.m):
-            if eng.bits[j] and rng.random() < 0.7:
-                eng._flip(j)
+            if eng.s[j] and rng.random() < 0.7:
+                eng._delta(j, -1)
         f = fitness_classic(eng.solution(), g)
         assert f.pairs == 0
-        bits, last_unc = list(eng.bits), f.uncovered
+        bits, last_unc = list(eng.s), f.uncovered
         run_rng = spawn_rng(int(rng.integers(2**32)), 0)
         for _ in range(20000):
-            eng.step("ea" if rng.random() < 0.5 else "rls", run_rng)
-            if eng.bits != bits:  # checked from scratch after every change
+            engine_step(eng, "ea" if rng.random() < 0.5 else "rls", run_rng)
+            if eng.s != bits:  # checked from scratch after every change
                 f = fitness_classic(eng.solution(), g)
                 assert f.pairs == 0
                 assert f.uncovered <= last_unc
-                bits, last_unc = list(eng.bits), f.uncovered
+                bits, last_unc = list(eng.s), f.uncovered
         total_steps += 20000
 
 

@@ -1,13 +1,13 @@
 """Stateful tests: the run engines under interleaved steps and edge changes.
 
 After every operation each engine must agree with the from-scratch fitness
-of its own solution, and with the reference path run on a mirrored graph:
-the pure step functions and ``apply_change`` on solution arrays. Its index
-of accepting slots must hold exactly the slots whose single move changes
-the state under the pure one-move step, and no dual -1 may change it. The
-dual engine's index of free slots must hold exactly the slots F that a step
-must hit to change the state, and the classic engine's ``mate`` a selected
-slot at every vertex that has one.
+and vertex room of its own solution, and with the reference path run on a
+mirrored graph: the pure step functions and ``apply_change`` on solution
+arrays. Its index of accepting slots must hold exactly the slots whose
+single move changes the state under the pure one-move step, and no dual -1
+may change it. The dual engine's index of free slots must hold exactly the
+slots F that a step must hit to change the state, and the classic engine's
+``mate`` a selected slot at every vertex that has one.
 
 The drawn start is mapped into the region the searches keep to (a matching,
 a feasible dual), since the engines model that region only; the pure step
@@ -22,11 +22,12 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
 from dynvc import (AddEdge, Graph, GraphError, RemoveEdge, apply_change,
-                   fitness_classic, fitness_weighted, step_classic,
-                   step_weighted, target_reached)
+                   fitness_classic, fitness_weighted, greedy_maximal_matching,
+                   step_classic, step_weighted, target_reached)
 from dynvc.engine import _ClassicEngine, _DualEngine
 
-from conftest import ForcedRng, assert_mates, free_slots, in_region
+from conftest import (ForcedRng, assert_mates, engine_fitness, engine_step, free_slots,
+                      in_region, random_graph, room)
 
 N = 7
 PAIRS = [(u, v) for u in range(1, N + 1) for v in range(u + 1, N + 1)]
@@ -63,7 +64,7 @@ class _EngineMachine(RuleBasedStateMachine):
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(count):
             self.sol = step(self.sol, self.mirror, variant, rng_a)
-            self.engine.step(variant, rng_b)
+            engine_step(self.engine, variant, rng_b)
 
     @precondition(lambda self: self.g.m < len(PAIRS))
     @rule(data=st.data())
@@ -102,7 +103,8 @@ class _EngineMachine(RuleBasedStateMachine):
         assert sol.dtype == self.sol.dtype
         assert np.array_equal(sol, self.sol)
         assert self.g == self.mirror
-        assert self.engine.fitness() == tuple(self._fitness(sol, self.g))
+        assert engine_fitness(self.engine) == tuple(self._fitness(sol, self.g))
+        assert self.engine.room == room(self.problem, sol, self.g)
         assert self.engine.at_target() == target_reached(sol, self.g, self.problem)
         assert self.engine.m == self.g.m
 
@@ -155,3 +157,36 @@ TestClassicEngine = ClassicEngineMachine.TestCase
 TestClassicEngine.settings = _SETTINGS
 TestDualEngine = DualEngineMachine.TestCase
 TestDualEngine.settings = _SETTINGS
+
+
+def test_classic_engine_is_the_dual_engine_at_unit_capacities():
+    # a matching is a feasible dual at unit weights: from the same greedy
+    # matching and under the same accepting moves and edge changes, the two
+    # engines keep the same room, total, accepting slots and solution
+    rng = np.random.default_rng(83)
+    moves = 0
+    for _ in range(50):
+        g = random_graph(rng, n_max=9, min_edges=2)
+        sol = greedy_maximal_matching(g, rng)
+        for j in np.nonzero(sol)[0].tolist():  # keep about half, to leave accepting slots
+            sol[j] = rng.random() < 0.5
+        classic, dual = _ClassicEngine(g, sol), _DualEngine(g.copy(), sol.astype(np.int64))
+        for _ in range(40):
+            if classic.accepting and rng.random() < 0.5:
+                j = classic.accepting[int(rng.integers(len(classic.accepting)))]
+                classic.apply(j)
+                dual.apply(j)
+                moves += 1
+            elif classic.m and rng.random() < 0.5:
+                change = RemoveEdge(int(rng.integers(classic.m)))
+                apply_change(classic.g, classic, change)
+                apply_change(dual.g, dual, change)
+            elif classic.m < g.m_max:
+                change = AddEdge(*g.free_pair(int(rng.integers(g.m_max - classic.m))))
+                apply_change(classic.g, classic, change)
+                apply_change(dual.g, dual, change)
+            assert classic.room == dual.room
+            assert classic.total == dual.total
+            assert set(classic.accepting) == set(dual.accepting)
+            assert np.array_equal(classic.solution(), dual.solution())
+    assert moves > 200  # not vacuous (301 at this seed)

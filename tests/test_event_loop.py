@@ -1,7 +1,7 @@
 """Distribution gate: the event-jumping run loop against a per-step loop.
 
 ``run_once`` jumps over the steps that cannot change the state and so reads
-the random stream differently from a loop that calls ``engine.step`` once
+the random stream differently from a loop that calls ``engine_step`` once
 per step. Both must sample the same Markov chain: a two-sample KS test on
 ``steps_to_target`` (and ``n_changes`` under churn), 300 runs a side on the
 same instances, must give p >= 0.001. The seeds are fixed; a failing seed is
@@ -25,14 +25,14 @@ from dynvc.dynamics import UNIFORM_POLICY
 from dynvc.engine import _ClassicEngine, _DualEngine
 from dynvc.harness import RunTask, build_tasks, make_instance, run_once
 
-from conftest import free_slots, mate_events
+from conftest import engine_step, free_slots, mate_events
 
 RUNS = 300
 ALPHA = 0.001
 
 
 def _reference_run(task):
-    """The per-step loop ``run_once`` replaced: every step calls engine.step."""
+    """The per-step loop ``run_once`` replaced: every step calls engine_step."""
     g = harness._instance(task.source).copy()
     rng = harness.spawn_rng(task.master_seed, task.run_index)
     if task.init == "greedy":
@@ -66,7 +66,7 @@ def _reference_run(task):
             return evaluations, n_changes
         if evaluations >= task.budget:
             return evaluations, n_changes
-        engine.step(task.algo, rng)
+        engine_step(engine, task.algo, rng)
         evaluations += 1
 
 
@@ -111,7 +111,7 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_event_loop_matches_step_loop_in_distribution(case):
-    tasks = build_tasks(ExperimentConfig(keep_final=False, **CASES[case]))
+    tasks = build_tasks(ExperimentConfig(**CASES[case]))
     jumped = [run_once(t) for t in tasks]
     stepped = [_reference_run(replace(t, master_seed=1000 + t.master_seed)) for t in tasks]
     assert all(r.target_reached for r in jumped)
@@ -123,20 +123,23 @@ def test_event_loop_matches_step_loop_in_distribution(case):
 
 
 def _recorded_events(monkeypatch, engine_cls, family, m, wmax, budget):
-    """The move sets of an EA run's multi-hit events, held at its greedy
-    start because try_moves only records them, and that start's solution."""
+    """The hit sets of an EA run's multi-hit events, with their coins for the
+    dual (1 for a -1), held at its greedy start because the step decoding
+    (``flips``, ``signs``) only records them and decodes no step, and that
+    start's solution."""
     hits, states = [], set()
 
-    def record(self, moves):
-        hits.append(moves)
+    def record(self, pos, coin=None):
+        hits.append(list(pos) if coin is None else [(j, int(coin())) for j in pos])
         states.add(tuple(self.solution().tolist()))
+        return []
 
-    monkeypatch.setattr(engine_cls, "try_moves", record)
     problem = "classic" if engine_cls is _ClassicEngine else "weighted"
+    monkeypatch.setattr(engine_cls, "flips" if problem == "classic" else "signs", record)
     run_once(RunTask(run_index=0, master_seed=9, problem=problem, algo="ea",
                      family=family, wmax=wmax, source=(family, m, wmax, 0),
                      schedule=OneTime(budget), policy=UNIFORM_POLICY, init="greedy",
-                     budget=budget, stride=1, want_trace=False, keep_final=False))
+                     budget=budget, stride=1, want_trace=False))
     (state,) = states
     return hits, np.array(state)
 
@@ -182,7 +185,7 @@ def test_dual_multi_hit_events_follow_the_thinned_binomial_law(monkeypatch):
 
     for family in ("star", "path"):
         moves, sol = _recorded_events(monkeypatch, _DualEngine, family, m, 3, budget)
-        hits = [[mv >> 1 for mv in mvs] for mvs in moves]
+        hits = [[j for j, _ in mvs] for mvs in moves]
         free = set(np.nonzero(sol)[0].tolist())
         assert free == free_slots(sol, make_instance(family, m, wmax=3))
         f = len(free)
@@ -203,6 +206,6 @@ def test_dual_multi_hit_events_follow_the_thinned_binomial_law(monkeypatch):
             if len(group) > 1:
                 counts = slots[group]
                 assert counts.max() - counts.min() < 8 * math.sqrt(counts.mean())
-        downs = sum(mv & 1 for mvs in moves for mv in mvs)
+        downs = sum(c for mvs in moves for _, c in mvs)
         total = sum(map(len, moves))
         assert abs(downs - total / 2) < 4 * math.sqrt(total / 4)  # fair coins

@@ -22,8 +22,9 @@ from dynvc.cli import main as cli_main
 from dynvc.dynamics import DELETE_POSITIVE_POLICY, UNIFORM_POLICY
 from dynvc.weighted import induced_cover
 
-from conftest import (ForcedRng, assert_mates, flip_mask_draws, free_slots,
-                      in_region, mate_events, random_graph)
+from conftest import (ForcedRng, assert_mates, engine_fitness, engine_step,
+                      flip_mask_draws, free_slots, in_region, mate_events,
+                      random_graph)
 
 
 # -- seeding -----------------------------------------------------------------
@@ -156,12 +157,12 @@ def test_engine_matches_pure_steps(problem, variant):
         rng_a = spawn_rng(trial, 0)
         rng_b = spawn_rng(trial, 0)
         f = fitness(sol, g)
-        assert engine.fitness() == tuple(f)
+        assert engine_fitness(engine) == tuple(f)
         for _ in range(300):
             sol = step(sol, g, variant, rng_a, f)
             f = fitness(sol, g)
-            engine.step(variant, rng_b)
-            assert engine.fitness() == tuple(f)
+            engine_step(engine, variant, rng_b)
+            assert engine_fitness(engine) == tuple(f)
         assert np.array_equal(engine.solution(), sol)
 
 
@@ -191,10 +192,10 @@ def test_engine_one_move_steps_match_pure_steps(problem):
                 for coin in coins:
                     engine = make(g, sol)
                     draws = _forced_one_move(variant, j, g.m, coin)
-                    engine.step(variant, draws)
+                    engine_step(engine, variant, draws)
                     want = step(sol, g, variant, _forced_one_move(variant, j, g.m, coin))
                     assert not (draws._geo or draws._int)
-                    assert engine.fitness() == tuple(fitness(want, g))
+                    assert engine_fitness(engine) == tuple(fitness(want, g))
                     assert np.array_equal(engine.solution(), want)
 
 
@@ -209,17 +210,17 @@ def test_engine_multi_move_steps_match_pure_steps(problem, monkeypatch):
     # no violation: each elementary move is checked from scratch
     rng = np.random.default_rng(67)
     if problem == "classic":
-        make, fitness, step, name = _ClassicEngine, fitness_classic, step_classic, "_flip"
+        make, fitness, step = _ClassicEngine, fitness_classic, step_classic
     else:
-        make, fitness, step, name = _DualEngine, fitness_weighted, step_weighted, "_delta"
-    move, passed = getattr(make, name), []
+        make, fitness, step = _DualEngine, fitness_weighted, step_weighted
+    move, passed = make._delta, []
 
-    def checked_move(self, *args):
-        move(self, *args)
+    def checked_move(self, j, d):
+        move(self, j, d)
         assert fitness(self.solution(), self.g)[0] == 0  # pairs or violations
-        passed.append(args)
+        passed.append((j, d))
 
-    monkeypatch.setattr(make, name, checked_move)
+    monkeypatch.setattr(make, "_delta", checked_move)
     for _ in range(40 if problem == "classic" else 12):  # most classic sets apply nothing
         g = random_graph(rng, n_max=5, w_max=3 if problem == "weighted" else 1)
         if problem == "classic":
@@ -233,11 +234,11 @@ def test_engine_multi_move_steps_match_pure_steps(problem, monkeypatch):
                             else itertools.product((0, 1), repeat=k))
                 for coins in patterns:
                     draws = ForcedRng(geometric=flip_mask_draws(slots, g.m), integers=coins)
-                    engine.step("ea", draws)
+                    engine_step(engine, "ea", draws)
                     want = step(sol, g, "ea", ForcedRng(
                         geometric=flip_mask_draws(slots, g.m), integers=coins))
                     assert not (draws._geo or draws._int)
-                    assert engine.fitness() == tuple(fitness(want, g))
+                    assert engine_fitness(engine) == tuple(fitness(want, g))
                     assert np.array_equal(engine.solution(), want)
                     if not np.array_equal(want, sol):
                         engine = make(g, sol)
@@ -340,11 +341,12 @@ def _build_cases(problem, rng):
 @pytest.mark.parametrize("problem", ["classic", "weighted"])
 def test_one_pass_build_equals_an_engine_built_by_moves(problem):
     # the constructor's single pass against an empty engine raised to the
-    # same solution by its own moves: counters and ``mate`` equal, indexes
-    # equal as sets, and every counter and list entry a Python int
+    # same solution by its own moves: values, room, total and ``mate`` equal,
+    # indexes equal as sets, and every counter and list entry a Python int
     rng = np.random.default_rng(73)
     make = _ClassicEngine if problem == "classic" else _DualEngine
-    own = ("m", "accepting", "where", *(n for n in make.__slots__ if n != "law"))  # law: floats
+    state = ("s", "room", "total", *make.__slots__)
+    own = ("m", "accepting", "where", *(n for n in state if n != "law"))  # law: floats
     sizes = []
     for g in _build_cases(problem, rng):
         sizes.append(g.m)
@@ -355,7 +357,7 @@ def test_one_pass_build_equals_an_engine_built_by_moves(problem):
                 grown.apply(j)
             else:
                 grown._delta(j, int(sol[j]))
-        for name in make.__slots__:
+        for name in state:
             if name not in ("free", "fwhere"):  # compared below
                 assert getattr(built, name) == getattr(grown, name), name
         for name in own:
@@ -431,7 +433,7 @@ def test_run_once_recertifies_a_reported_target(monkeypatch, tmp_path):
     # an engine that reports its target without reaching it must not give a
     # reached row: the run raises, its record is an error, and a sweep exits 4
     monkeypatch.setattr(_ClassicEngine, "at_target", lambda self: True)
-    task = base_task(keep_final=False)
+    task = base_task()
     with pytest.raises(ValueError, match="does not certify"):
         run_once(task)
     rec = _run_task_safe(task)
@@ -463,7 +465,7 @@ def test_runs_must_start_in_the_region(problem, monkeypatch, tmp_path):
         monkeypatch.setattr("dynvc.harness.greedy_maximal_dual",
                             lambda g, rng=None: np.full(g.m, g.w_max + 1, dtype=np.int64))
     for algo in ("ea", "rls"):
-        task = base_task(problem=problem, algo=algo, init="greedy", keep_final=False)
+        task = base_task(problem=problem, algo=algo, init="greedy")
         with pytest.raises(ValueError, match="must start at a"):
             run_once(task)
         rec = _run_task_safe(task)
